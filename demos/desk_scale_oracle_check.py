@@ -6,7 +6,7 @@ but the physics is controlled by the dimensionless products eta*d and
 shrinking N and I0 to desk scale, then compares three ways of computing
 the conditional squeezing parameter:
 
-* the brute-force oracle (exact series-kernel posterior, no expansion),
+* the brute-force oracle (exact Bessel-kernel posterior, no expansion),
 * the Gaussian closed form with the full <Jx> integral,
 * the closed form with the large-N shortcut <Jx> = N/2.
 

@@ -14,7 +14,6 @@ Layers (bottom-up):
 from .backaction import (
     ExpansionCoeffs,
     MeasurementOutcome,
-    SeriesOverflow,
     SingularPhase,
     expansion_coeffs,
     most_probable_outcome,
@@ -83,7 +82,6 @@ __all__ = [
     "ProbeConfig",
     "REIDC",
     "SampleTable",
-    "SeriesOverflow",
     "SingularPhase",
     "SqueezingResult",
     "collective_moments",

@@ -7,10 +7,10 @@ elements between Dicke indices m, m' factorize per mode as
     <M_g>_{m,m'} = e^{-I_g} e^{-(g_m^2 + g_m'^2)/2} S(I_g g_m g_m'),
     S(x) = sum_n x^n / (n!)^2,
 
-where g_m is the real envelope of the mode.  S is evaluated by direct
-log-space series summation (for x >= 0 this is the modified Bessel function
-B_0(2 sqrt(x)); for x < 0 the alternating series is the ordinary Bessel
-J_0(2 sqrt(-x)), summed with sign tracking and compensated accumulation).
+where g_m is the real envelope of the mode.  S is a Bessel function
+(DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0, evaluated in log space
+through the exponentially scaled ive, and J_0(2 sqrt(-x)) for x < 0, whose
+sign is carried separately.
 
 The second-order path expands the log-kernel to quadratic order in m*phi,
 giving the coefficients (V, W, Y, Z) and lambda = -2Y - Z.
@@ -22,16 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import ive, j0
 
 from .dicke import DickeWeights, EnsembleSpec, css_log_weights
 from .probe import EPS_SING, ProbeConfig, mode_amplitudes
-
-#: relative truncation threshold for the kernel series
-SERIES_RTOL = 1e-18
-
-#: hard cap on series terms
-SERIES_MAX_TERMS = 10**6
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
@@ -40,10 +34,6 @@ ORACLE_I0_CAP = 1e4
 
 class SingularPhase(ValueError):
     """x_t too close to a multiple of pi/2 for the second-order expansion."""
-
-
-class SeriesOverflow(ArithmeticError):
-    """Kernel series did not converge within the term cap."""
 
 
 @dataclass(frozen=True)
@@ -113,38 +103,30 @@ def expansion_coeffs(
     return ExpansionCoeffs(v=v, w=w, y=y, z=z)
 
 
-def _log_series(x: float) -> tuple[float, float]:
-    """(log|S|, sign) for S(x) = sum_n x^n / (n!)^2 by direct summation.
+def _log_kernel(x):
+    """(log|S|, sign) for S(x) = sum_n x^n / (n!)^2, elementwise over x.
 
-    Terms are generated in log space, truncated when they fall below
-    SERIES_RTOL of the largest term, and accumulated (with signs for x < 0)
-    using compensated summation after scaling out the peak term.
+    S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0.
     """
-    if x == 0.0:
-        return 0.0, 1.0
-    ax = abs(x)
-    log_ax = math.log(ax)
-    # term magnitudes peak near n = sqrt(|x|); pad generously for the tails
-    n_peak = math.sqrt(ax)
-    n_upper = int(n_peak + 12.0 * math.sqrt(n_peak + 1.0) + 60.0)
-    if n_upper > SERIES_MAX_TERMS:
-        raise SeriesOverflow(
-            f"kernel series needs ~{n_upper} terms (> {SERIES_MAX_TERMS}); "
-            "reduce I0 * I_bar"
-        )
-    n = np.arange(n_upper + 1)
-    log_t = n * log_ax - 2.0 * gammaln(n + 1.0)
-    t_max = log_t.max()
-    if log_t[-1] > t_max + math.log(SERIES_RTOL):
-        raise SeriesOverflow("kernel series not converged at the term cap")
-    keep = log_t > t_max + math.log(SERIES_RTOL)
-    terms = np.exp(log_t[keep] - t_max)
-    if x < 0:
-        terms = terms * np.where(n[keep] % 2 == 0, 1.0, -1.0)
-    total = math.fsum(terms.tolist())
-    if total == 0.0:
-        return -math.inf, 0.0
-    return t_max + math.log(abs(total)), math.copysign(1.0, total)
+    x = np.asarray(x, dtype=float)
+    z = 2.0 * np.sqrt(np.abs(x))
+    pos = x >= 0
+    bessel = np.where(pos, ive(0, z), j0(z))
+    with np.errstate(divide="ignore"):
+        log_s = np.log(np.abs(bessel)) + np.where(pos, z, 0.0)
+    return log_s, np.sign(bessel)
+
+
+def _log_povm_element(out: MeasurementOutcome, a_m, b_m, a_p, b_p):
+    """Signed log of <M_alpha>_{m,m'} <M_beta>_{m,m'} / e^{-(I_alpha + I_beta)}.
+
+    (a_m, b_m) and (a_p, b_p) are the mode envelopes at m and m' (scalars or
+    equal-shape arrays).  Exactly symmetric under m <-> m'.
+    """
+    log_a, sign_a = _log_kernel(out.i_alpha * (a_m * a_p))
+    log_b, sign_b = _log_kernel(out.i_beta * (b_m * b_p))
+    envelopes = (a_m * a_m + a_p * a_p) + (b_m * b_m + b_p * b_p)
+    return -0.5 * envelopes + log_a + log_b, sign_a * sign_b
 
 
 def povm_weight_exact(
@@ -160,15 +142,8 @@ def povm_weight_exact(
     """
     am, bm = mode_amplitudes(ens, probe, m, convention="full")
     ap, bp = mode_amplitudes(ens, probe, m_prime, convention="full")
-    log_a, sign_a = _log_series(out.i_alpha * float(am) * float(ap))
-    log_b, sign_b = _log_series(out.i_beta * float(bm) * float(bp))
-    log_w = (
-        -(out.i_alpha + out.i_beta)
-        - 0.5 * (am * am + ap * ap + bm * bm + bp * bp)
-        + log_a
-        + log_b
-    )
-    return float(log_w), sign_a * sign_b
+    log_w, sign = _log_povm_element(out, am, bm, ap, bp)
+    return float(log_w - (out.i_alpha + out.i_beta)), float(sign)
 
 
 def _exact_kernel_band(
@@ -179,26 +154,9 @@ def _exact_kernel_band(
     Returns (diag_log, off_log, off_sign); diagonal kernels are positive.
     The m-independent factor e^{-(I_alpha + I_beta)} is dropped.
     """
-    m = ens.m_values()
-    a, b = mode_amplitudes(ens, probe, m, convention="full")
-    ia, ib = a * a, b * b
-
-    n_pts = ens.n_atoms + 1
-    diag_log = np.empty(n_pts)
-    for i in range(n_pts):
-        la, _ = _log_series(out.i_alpha * ia[i])
-        lb, _ = _log_series(out.i_beta * ib[i])
-        diag_log[i] = -(ia[i] + ib[i]) + la + lb
-
-    off_log = np.empty(n_pts - 1)
-    off_sign = np.empty(n_pts - 1)
-    for i in range(n_pts - 1):
-        la, sa = _log_series(out.i_alpha * a[i] * a[i + 1])
-        lb, sb = _log_series(out.i_beta * b[i] * b[i + 1])
-        off_log[i] = (
-            -0.5 * (ia[i] + ia[i + 1] + ib[i] + ib[i + 1]) + la + lb
-        )
-        off_sign[i] = sa * sb
+    a, b = mode_amplitudes(ens, probe, ens.m_values(), convention="full")
+    diag_log, _ = _log_povm_element(out, a, b, a, b)
+    off_log, off_sign = _log_povm_element(out, a[:-1], b[:-1], a[1:], b[1:])
     return diag_log, off_log, off_sign
 
 
@@ -210,7 +168,7 @@ def posterior_weights(
 ) -> DickeWeights:
     """Conditional Dicke weights given a measurement outcome.
 
-    method="exact" multiplies the binomial prior by the exact series kernel
+    method="exact" multiplies the binomial prior by the exact Bessel kernel
     (N capped at ORACLE_N_CAP, I0 at ORACLE_I0_CAP); method="second_order"
     uses the quadratic expansion, whose diagonal log-factor is
     2 W phi m - lambda phi^2 m^2.  In both cases ``offdiag_logf`` holds the

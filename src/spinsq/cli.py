@@ -34,12 +34,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .backaction import (
-    MeasurementOutcome,
-    SeriesOverflow,
-    SingularPhase,
-    most_probable_outcome,
-)
+from .backaction import MeasurementOutcome, SingularPhase, most_probable_outcome
 from .dicke import EnsembleSpec
 from .oracle import (
     RNG_ALGORITHM,
@@ -61,6 +56,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_GATE = 4
+
+
+#: allowed values of the enumerated config keys
+_CHOICES = {"jx_mode": ("exact", "shortcut"), "method": ("exact", "second_order")}
 
 
 class ConfigError(Exception):
@@ -105,6 +104,10 @@ class Section:
             raise ConfigError(
                 f"config [{self._name}] {key} = {raw!r}: {exc}"
             ) from exc
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise ConfigError(
+                f"config [{self._name}] {key} = {raw!r}: not one of {_CHOICES[key]}"
+            )
         self.used[key] = value
         return value
 
@@ -224,7 +227,7 @@ def cmd_fig3(section: Section, threads: int) -> tuple:
     return ("x_t", "i_alpha", "i_beta", "xi_sq"), rows, meta, EXIT_OK
 
 
-def cmd_fig4(section: Section, threads: int) -> tuple:
+def cmd_fig4(section: Section) -> tuple:
     """xi'^2 vs eta curves for both noise models, plus a 2-D (d, eta) grid."""
     eta_points = int(section.get("eta_points", 200))
     eta_max = section.get("eta_max", 0.8)
@@ -467,7 +470,7 @@ def main(argv=None) -> int:
         if args.command == "fig3":
             columns, rows, meta, code = cmd_fig3(section, args.threads)
         elif args.command == "fig4":
-            columns, rows, meta, code = cmd_fig4(section, args.threads)
+            columns, rows, meta, code = cmd_fig4(section)
         elif args.command == "table1":
             columns, rows, meta, code = cmd_table1(section)
         elif args.command == "oracle-report":
@@ -479,7 +482,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularPhase, SeriesOverflow, ValueError, ArithmeticError) as exc:
+    except (SingularPhase, ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -103,6 +103,13 @@ class SqueezingResult:
     xi_sq: float
     jx_zero: bool = False
 
+    @classmethod
+    def from_moments(cls, n_atoms: int, jz2: float, jx: float) -> SqueezingResult:
+        """xi^2 from the moments; a vanishing <Jx> gives +inf flagged ``jx_zero``."""
+        if jx > 0:
+            return cls(jz2=jz2, jx=jx, xi_sq=n_atoms * jz2 / jx**2)
+        return cls(jz2=jz2, jx=jx, xi_sq=float("inf"), jx_zero=True)
+
 
 def css_log_weights(n_atoms: int) -> DickeWeights:
     """Exact log-binomial CSS weights via log-gamma.
@@ -149,7 +156,4 @@ def collective_moments(weights: DickeWeights) -> SqueezingResult:
         )
         jx = float(contrib.sum() / norm)
 
-    if jx > 0:
-        xi_sq = n * jz2 / jx**2
-        return SqueezingResult(jz2=jz2, jx=jx, xi_sq=xi_sq)
-    return SqueezingResult(jz2=jz2, jx=jx, xi_sq=float("inf"), jx_zero=True)
+    return SqueezingResult.from_moments(n, jz2, jx)

@@ -1,7 +1,7 @@
 """Brute-force verification path.
 
 Everything in this module avoids the second-order expansion: the posterior
-comes from the exact series kernel, the micro-oracle builds the full
+comes from the exact Bessel kernel, the micro-oracle builds the full
 atom+light Hilbert space and applies Kraus matrices explicitly, and the
 Monte Carlo sampler draws outcomes from the exact mixture law
 
@@ -76,7 +76,7 @@ def fock_posterior(
     truncated Fock basis, the (diagonal) Kraus matrices for the two
     intensity outcomes are applied to the light modes, and the light is
     traced out.  Only feasible for small N and I0; serves as an independent
-    check of the series-kernel posterior.
+    check of the exact-kernel posterior.
     """
     m = ens.m_values()
     c = np.sqrt(css_log_weights(ens.n_atoms).normalized())
@@ -97,9 +97,7 @@ def fock_moments(rho: np.ndarray) -> SqueezingResult:
     jz2 = float(np.dot(np.diag(rho), m * m))
     ladder = 0.5 * np.sqrt((n / 2.0 - m[:-1]) * (n / 2.0 + m[:-1] + 1.0))
     jx = float(2.0 * np.dot(np.diag(rho, 1), ladder))
-    if jx > 0:
-        return SqueezingResult(jz2=jz2, jx=jx, xi_sq=n * jz2 / jx**2)
-    return SqueezingResult(jz2=jz2, jx=jx, xi_sq=float("inf"), jx_zero=True)
+    return SqueezingResult.from_moments(n, jz2, jx)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,7 @@ def conditional_xi_distribution(
     """Sample outcomes and evaluate xi^2 for each by the chosen path.
 
     method="second_order" uses the Gaussian closed form (usable at
-    experiment scale); method="exact" runs the full series-kernel oracle
+    experiment scale); method="exact" runs the full exact-kernel oracle
     per sample (desk scale only).
     """
     if n_samples < 0:

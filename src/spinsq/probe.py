@@ -168,7 +168,7 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
             f"n_atoms = {ens.n_atoms} exceeds the exact-sum cap {EXACT_SUM_CAP}"
         )
     w = css_log_weights(ens.n_atoms).normalized()
-    m = css_log_weights(ens.n_atoms).m_values()
+    m = ens.m_values()
 
     # totals: half convention
     ah, bh = mode_amplitudes(ens, probe, m, convention="half")

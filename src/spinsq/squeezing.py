@@ -95,10 +95,7 @@ def closed_form_moments(
         )
     else:
         raise ValueError(f"unknown jx_mode {jx_mode!r}")
-
-    if jx > 0:
-        return SqueezingResult(jz2=jz2, jx=jx, xi_sq=n * jz2 / jx**2)
-    return SqueezingResult(jz2=jz2, jx=jx, xi_sq=float("inf"), jx_zero=True)
+    return SqueezingResult.from_moments(n, jz2, jx)
 
 
 def xi_closed_form(

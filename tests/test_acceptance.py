@@ -27,10 +27,10 @@ than fitted; 8c stays red:
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ive
 
 from spinsq import (
     ALKALI,
@@ -56,7 +56,7 @@ from spinsq import (
     xi_most_probable,
     xi_noisy,
 )
-from spinsq.backaction import _log_series
+from spinsq.backaction import _log_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +121,8 @@ def test_criterion_3b_oracle_equivalence_at_one_std_offsets():
     Three checks pin it down:
 
     1. every row lies within max(5%, phi sqrt(N));
-    2. the oracle's kernel is right at the worst row: its series
-       S(x) = sum x^n / (n!)^2 matches I0(2 sqrt(x)) from scipy.special
+    2. the oracle's kernel is right at the worst row: its
+       S(x) = sum x^n / (n!)^2 = I0(2 sqrt(x)) matches mpmath's besseli
        (as log, to 1e-12) at every diagonal argument the row uses, so the
        error is the closed form's;
     3. at the worst default point (N = 400, X_t = pi/4, product 4,
@@ -145,11 +145,12 @@ def test_criterion_3b_oracle_equivalence_at_one_std_offsets():
     ens = EnsembleSpec(n_atoms=n, phi=math.sqrt(worst["product"] / (2.0 * i0 * n)))
     alpha, beta = mode_amplitudes(ens, ProbeConfig(i0=i0, x_t=worst["x_t"]), ens.m_values())
     args = np.concatenate((worst["i_alpha"] * alpha**2, worst["i_beta"] * beta**2))
-    for x in args[args > 0.0]:
-        log_s, sign = _log_series(float(x))
-        z = 2.0 * math.sqrt(x)
-        assert sign == 1.0
-        assert log_s == pytest.approx(z + math.log(ive(0, z)), rel=1e-12, abs=1e-12)
+    args = args[args > 0.0]
+    log_s, sign = _log_kernel(args)
+    assert np.all(sign == 1.0)
+    with mpmath.workdps(30):
+        expected = [mpmath.log(mpmath.besseli(0, 2 * mpmath.sqrt(x))) for x in args]
+    assert log_s == pytest.approx(np.array(expected, dtype=float), rel=1e-12, abs=1e-12)
 
     errs = []
     for i0 in (50.0, 200.0, 800.0):
@@ -327,7 +328,7 @@ def test_criterion_7_identity_suite():
     # POVM completeness: integral over outcomes of the diagonal kernel is 1
     for gamma_sq in (0.5, 4.0, 25.0):
         def kernel(i_bar):
-            log_s, _ = _log_series(i_bar * gamma_sq)
+            log_s, _ = _log_kernel(i_bar * gamma_sq)
             return math.exp(-i_bar - gamma_sq + log_s)
 
         upper = gamma_sq + 60.0 + 20.0 * math.sqrt(gamma_sq)

@@ -1,14 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import j0
 
 from spinsq import (
     EnsembleSpec,
     MeasurementOutcome,
     ProbeConfig,
-    SeriesOverflow,
     SingularPhase,
     collective_moments,
     expansion_coeffs,
@@ -16,7 +15,7 @@ from spinsq import (
     posterior_weights,
     povm_weight_exact,
 )
-from spinsq.backaction import _log_series
+from spinsq.backaction import _log_kernel
 
 PROBE = ProbeConfig(i0=100.0, x_t=math.pi / 8)
 ENS = EnsembleSpec(n_atoms=200, phi=0.005)
@@ -104,35 +103,19 @@ def test_singular_phase_raises():
             expansion_coeffs(probe, MeasurementOutcome(10.0, 10.0))
 
 
-def test_log_series_against_bessel():
-    # S(x) = sum x^n/(n!)^2 is B0(2 sqrt x) for x >= 0, J0(2 sqrt -x) for x < 0
-    log_s, sign = _log_series(0.0)
-    assert (log_s, sign) == (0.0, 1.0)
-    log_s, sign = _log_series(1.0)
-    assert sign == 1.0
-    assert log_s == pytest.approx(math.log(np.i0(2.0)), rel=1e-12)
-    log_s, sign = _log_series(-1.0)
-    assert sign == 1.0
-    assert log_s == pytest.approx(math.log(abs(j0(2.0))), rel=1e-10)
-    # sign tracking across a zero of J0: J0(2 sqrt 2) < 0
-    log_s, sign = _log_series(-2.0)
-    assert sign == -1.0
-    assert log_s == pytest.approx(math.log(abs(j0(2 * math.sqrt(2)))), rel=1e-9)
-
-
-def test_log_series_large_argument_matches_scaled_bessel():
-    from scipy.special import i0e
-
-    x = 1e5
-    log_s, sign = _log_series(x)
-    expected = 2 * math.sqrt(x) + math.log(i0e(2 * math.sqrt(x)))
-    assert sign == 1.0
-    assert log_s == pytest.approx(expected, rel=1e-12)
-
-
-def test_series_overflow():
-    with pytest.raises(SeriesOverflow):
-        _log_series(1e13)
+@pytest.mark.parametrize(
+    "x", [0.0, 1.0, -1.0, -2.0, -150.0, -200.0, -400.0, -1000.0, -1e4, 1e5, 1e13]
+)
+def test_log_kernel_matches_mpmath(x):
+    # S(x) = sum x^n/(n!)^2 is I0(2 sqrt x) for x >= 0, J0(2 sqrt -x) for x < 0;
+    # S < 0 at x = -2, -200 and -1e4
+    with mpmath.workdps(40):
+        z = 2 * mpmath.sqrt(abs(x))
+        s = mpmath.besseli(0, z) if x >= 0 else mpmath.besselj(0, z)
+        expected_log, expected_sign = float(mpmath.log(abs(s))), float(mpmath.sign(s))
+    log_s, sign = _log_kernel(x)
+    assert sign == expected_sign
+    assert float(log_s) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
 
 
 def test_povm_weight_symmetry_and_frozen_value():

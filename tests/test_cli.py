@@ -185,6 +185,22 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("fig3", "[fig3]\njx_mode = exactt\n"),
+        ("sample", "[sample]\nmethod = secnd_order\n"),
+        ("oracle-report", "[oracle-report]\njx_mode = nope\n"),
+    ],
+)
+def test_bad_enumerated_config_value_exits_2(tmp_path, capsys, command, text):
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_main(["--config", cfg, command], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "error:" in err and "numeric" not in err
+
+
 def test_numeric_domain_error_exits_3(tmp_path, capsys):
     # n_atoms beyond the exact-kernel cap in the exact sampling path
     cfg = write_config(
