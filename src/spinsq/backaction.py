@@ -38,15 +38,18 @@ class SingularPhase(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """Detector readings (photon counts) conditioning the posterior state."""
+    """Detector readings (photon counts) conditioning the posterior state;
+    scalars, or equal-shape arrays holding one reading per outcome."""
 
     i_alpha: float
     i_beta: float
 
     def __post_init__(self):
-        for name, v in (("i_alpha", self.i_alpha), ("i_beta", self.i_beta)):
-            if not np.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        a, b = self.i_alpha, self.i_beta
+        # NaN fails both comparisons
+        ok = (a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf)
+        if not np.asarray(ok).all():
+            raise ValueError(f"i_alpha, i_beta must be finite and >= 0, got {a}, {b}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,9 @@ def expansion_coeffs(
     """Closed-form second-order expansion coefficients of the log-kernel.
 
     At the most probable outcomes these give W = 0 and lambda = 4 I0.
-    Raises SingularPhase when |cos x_t| or |sin x_t| falls below eps_sing
-    (both appear in denominators).
+    Elementwise over an outcome whose fields are arrays.  Raises
+    SingularPhase when |cos x_t| or |sin x_t| falls below eps_sing (both
+    appear in denominators).
     """
     i0, x = probe.i0, probe.x_t
     c, s = math.cos(x), math.sin(x)
@@ -92,8 +96,8 @@ def expansion_coeffs(
         raise SingularPhase(
             f"|sin(x_t)| = {abs(s):.3g} < {eps_sing:g}; expansion divides by sin(x_t)"
         )
-    ra = math.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
-    rb = math.sqrt(out.i_beta / i0) if i0 > 0 else 0.0
+    ra = np.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
+    rb = np.sqrt(out.i_beta / i0) if i0 > 0 else 0.0
     v = 4.0 * i0 * (ra * abs(c) + rb * abs(s) - 1.0)
     w = 2.0 * i0 * (
         ra * s * c / abs(c) + rb * c * s / abs(s) - 2.0 * math.sin(2.0 * x)

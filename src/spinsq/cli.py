@@ -13,6 +13,9 @@ Options: --config PATH (INI file, one section per subcommand), --out PATH,
 --seed U64, --threads N, --format {csv,json}.  Environment variables
 SPINSQ_SEED, SPINSQ_THREADS, SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG
 override built-in defaults (command-line flags win over the environment).
+--threads (SPINSQ_THREADS) is accepted and echoed into the metadata but has
+no effect: every subcommand runs in one thread, and fig3 and sample evaluate
+their outcomes as numpy arrays.
 
 Exit codes: 0 success; 2 configuration error; 3 numeric-domain error;
 4 acceptance-gate failure (oracle-report).
@@ -32,7 +35,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 from .backaction import MeasurementOutcome, SingularPhase, most_probable_outcome
 from .dicke import EnsembleSpec
@@ -48,7 +52,8 @@ from .squeezing import (
     REIDC,
     eta_optimal,
     phi_from_eta_d,
-    xi_closed_form,
+    xi_closed_form,  # noqa: F401  (kept as spinsq.cli.xi_closed_form for tracing)
+    xi_closed_form_array,
     xi_noisy,
 )
 
@@ -182,7 +187,7 @@ def _nudge_singular(x_t: float, warnings: list) -> float:
     return nudged
 
 
-def cmd_fig3(section: Section, threads: int) -> tuple:
+def cmd_fig3(section: Section) -> tuple:
     """Grid of conditional xi^2 over outcomes, mean +/- 1 std per axis."""
     i0 = section.get("i0", 1e11)
     d = section.get("d", 40.0)
@@ -197,8 +202,9 @@ def cmd_fig3(section: Section, threads: int) -> tuple:
     phi = phi_from_eta_d(eta, d, n_atoms, i0)
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
     warnings: list = []
+    offsets = np.array(_linspace(-1.0, 1.0, grid_points))
 
-    tasks = []
+    rows = []
     for x_t_raw in x_t_list:
         x_t = _nudge_singular(x_t_raw, warnings)
         probe = ProbeConfig(i0=i0, x_t=x_t)
@@ -206,20 +212,16 @@ def cmd_fig3(section: Section, threads: int) -> tuple:
         mom = intensity_moments_approx(ens, probe)
         sa = math.sqrt(max(mom.var_alpha, 0.0))
         sb = math.sqrt(max(mom.var_beta, 0.0))
-        for fa in _linspace(-1.0, 1.0, grid_points):
-            for fb in _linspace(-1.0, 1.0, grid_points):
-                out = MeasurementOutcome(
-                    i_alpha=max(mean.i_alpha + fa * sa, 0.0),
-                    i_beta=max(mean.i_beta + fb * sb, 0.0),
-                )
-                tasks.append((x_t, probe, out))
-
-    def evaluate(task):
-        x_t, probe, out = task
-        xi = xi_closed_form(ens, probe, out, jx_mode=jx_mode).xi_sq
-        return (x_t, out.i_alpha, out.i_beta, xi)
-
-    rows = _parallel_map(evaluate, tasks, threads)
+        # i_alpha steps along the outer grid axis, i_beta along the inner one
+        i_alpha = np.maximum(mean.i_alpha + offsets * sa, 0.0)
+        i_beta = np.maximum(mean.i_beta + offsets * sb, 0.0)
+        out = MeasurementOutcome(
+            i_alpha=np.repeat(i_alpha, grid_points), i_beta=np.tile(i_beta, grid_points)
+        )
+        xi_sq = xi_closed_form_array(ens, probe, out, jx_mode=jx_mode).tolist()
+        rows += zip(
+            [x_t] * len(xi_sq), out.i_alpha.tolist(), out.i_beta.tolist(), xi_sq
+        )
     meta = dict(section.used)
     meta["phi"] = phi
     if warnings:
@@ -250,34 +252,24 @@ def cmd_fig4(section: Section) -> tuple:
     return ("model", "d", "eta", "xi_prime_sq"), rows, meta, EXIT_OK
 
 
+#: CSV column -> PlanResult field where the two names differ (table1, plan)
+_PLAN_FIELDS = {
+    "material": "name", "d": "optical_depth", "eta_opt": "eta",
+    "sigma_cm2": "sigma", "length_cm": "length",
+}
+
+
+def _plan_rows(results, columns) -> list:
+    return [tuple(getattr(r, _PLAN_FIELDS.get(c, c)) for c in columns) for r in results]
+
+
 def cmd_table1(section: Section) -> tuple:
     materials = section.get("materials", "", cast=str)
-    results = table1(materials or None)
-    rows = [
-        (
-            r.name,
-            r.optical_depth,
-            r.eta,
-            r.sigma,
-            r.n_atoms,
-            r.i0,
-            r.detuning_over_gamma,
-            r.xi_prime_sq,
-            r.xi_prime_db,
-        )
-        for r in results
-    ]
     columns = (
-        "material",
-        "d",
-        "eta_opt",
-        "sigma_cm2",
-        "n_atoms",
-        "i0",
-        "detuning_over_gamma",
-        "xi_prime_sq",
-        "xi_prime_db",
+        "material", "d", "eta_opt", "sigma_cm2", "n_atoms", "i0",
+        "detuning_over_gamma", "xi_prime_sq", "xi_prime_db",
     )
+    rows = _plan_rows(table1(materials or None), columns)
     return columns, rows, dict(section.used), EXIT_OK
 
 
@@ -305,35 +297,11 @@ def cmd_oracle_report(section: Section) -> tuple:
         gate=gate,
         jx_mode=jx_mode,
     )
-    rows = [
-        (
-            r["n_atoms"],
-            r["i0"],
-            r["product"],
-            r["x_t"],
-            r["offset_alpha"],
-            r["offset_beta"],
-            r["i_alpha"],
-            r["i_beta"],
-            r["xi_oracle"],
-            r["xi_closed"],
-            r["rel_err"],
-        )
-        for r in report["rows"]
-    ]
     columns = (
-        "n_atoms",
-        "i0",
-        "product",
-        "x_t",
-        "offset_alpha",
-        "offset_beta",
-        "i_alpha",
-        "i_beta",
-        "xi_oracle",
-        "xi_closed",
-        "rel_err",
+        "n_atoms", "i0", "product", "x_t", "offset_alpha", "offset_beta",
+        "i_alpha", "i_beta", "xi_oracle", "xi_closed", "rel_err",
     )
+    rows = [tuple(r[c] for c in columns) for r in report["rows"]]
     meta = dict(section.used)
     meta["max_rel_err"] = report["max_rel_err"]
     meta["pass_flat_gate"] = report["pass_flat_gate"]
@@ -377,35 +345,11 @@ def cmd_plan(section: Section) -> tuple:
     mode_area = section.get("mode_area", geom_default.mode_area)
     geom = GeometrySpec(mode_area=mode_area, optical_depth=d)
     eta = section.get("eta", eta_optimal(d, REIDC))
-    result = plan(mat, geom, eta)
     columns = (
-        "material",
-        "d",
-        "eta",
-        "sigma_cm2",
-        "length_cm",
-        "n_atoms",
-        "i0",
-        "detuning_over_gamma",
-        "xi_prime_sq",
-        "xi_prime_db",
-        "flagged",
+        "material", "d", "eta", "sigma_cm2", "length_cm", "n_atoms", "i0",
+        "detuning_over_gamma", "xi_prime_sq", "xi_prime_db", "flagged",
     )
-    rows = [
-        (
-            result.name,
-            result.optical_depth,
-            result.eta,
-            result.sigma,
-            result.length,
-            result.n_atoms,
-            result.i0,
-            result.detuning_over_gamma,
-            result.xi_prime_sq,
-            result.xi_prime_db,
-            result.flagged,
-        )
-    ]
+    rows = _plan_rows([plan(mat, geom, eta)], columns)
     return columns, rows, dict(section.used), EXIT_OK
 
 
@@ -418,14 +362,6 @@ def _linspace(lo: float, hi: float, n: int):
         return [0.5 * (lo + hi)]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
-
-
-def _parallel_map(fn, tasks, threads: int) -> list:
-    """Map preserving input order; rows come back in deterministic grid order."""
-    if threads <= 1 or len(tasks) < 2:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -468,7 +404,7 @@ def main(argv=None) -> int:
     section = Section(config, args.command)
     try:
         if args.command == "fig3":
-            columns, rows, meta, code = cmd_fig3(section, args.threads)
+            columns, rows, meta, code = cmd_fig3(section)
         elif args.command == "fig4":
             columns, rows, meta, code = cmd_fig4(section)
         elif args.command == "table1":

@@ -104,11 +104,15 @@ class SqueezingResult:
     jx_zero: bool = False
 
     @classmethod
-    def from_moments(cls, n_atoms: int, jz2: float, jx: float) -> SqueezingResult:
-        """xi^2 from the moments; a vanishing <Jx> gives +inf flagged ``jx_zero``."""
-        if jx > 0:
-            return cls(jz2=jz2, jx=jx, xi_sq=n_atoms * jz2 / jx**2)
-        return cls(jz2=jz2, jx=jx, xi_sq=float("inf"), jx_zero=True)
+    @np.errstate(over="raise", divide="ignore")
+    def from_moments(cls, n_atoms: int, jz2, jx) -> SqueezingResult:
+        """xi^2 from the moments, elementwise over arrays of outcomes; a
+        vanishing <Jx> gives +inf flagged ``jx_zero``, an overflow raises."""
+        # float_power squares with the C library's pow, as Python's ** does
+        # (np.square and x * x round some squares differently); <Jx> <= 0 is
+        # zeroed, so that N <Jz^2> / 0 gives the +inf sentinel
+        xi_sq = n_atoms * jz2 / np.float_power(jx * (jx > 0), 2.0)
+        return cls(jz2=jz2, jx=jx, xi_sq=xi_sq, jx_zero=jx <= 0)
 
 
 def css_log_weights(n_atoms: int) -> DickeWeights:

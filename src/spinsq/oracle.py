@@ -7,6 +7,10 @@ Monte Carlo sampler draws outcomes from the exact mixture law
 
     m ~ binomial Dicke weights, then I_gamma ~ Poisson(|gamma_m|^2).
 
+The sampler draws n outcomes as vectors (one binomial draw of size n, then
+one array of counts per mode), so ``conditional_xi_distribution`` rows
+differ from those of n successive scalar ``sample_outcome`` calls.
+
 Desk-scale parameters (N <= 2000, I0 <= 1e4) stand in for experiment scale
 by holding the governing dimensionless products (eta d = 2 I0 N phi^2)
 at their physical values.
@@ -25,8 +29,8 @@ from .backaction import (
     posterior_weights,
 )
 from .dicke import EnsembleSpec, SqueezingResult, collective_moments, css_log_weights
-from .probe import ProbeConfig, intensity_moments_approx, mode_amplitudes
-from .squeezing import xi_closed_form
+from .probe import ProbeConfig, check_phi2n, intensity_moments_approx, mode_amplitudes
+from .squeezing import xi_closed_form, xi_closed_form_array
 
 #: RNG algorithm recorded in output metadata
 RNG_ALGORITHM = "numpy.random.PCG64"
@@ -110,26 +114,33 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _sample_count(rng: np.random.Generator, lam: float) -> float:
-    """Poisson draw, switching to Normal(lam, lam) for very large means."""
-    if lam <= 0:
-        return 0.0
-    if lam > POISSON_NORMAL_SWITCH:
-        return max(0.0, rng.normal(lam, math.sqrt(lam)))
-    return float(rng.poisson(lam))
+def _sample_count(rng: np.random.Generator, lam) -> np.ndarray:
+    """Poisson counts for the means lam, elementwise; Normal(lam, lam) clipped
+    at 0 above POISSON_NORMAL_SWITCH.  Poisson(0) = 0 consumes no draw."""
+    lam = np.asarray(lam, dtype=float)
+    normal = lam > POISSON_NORMAL_SWITCH
+    counts = np.asarray(
+        rng.poisson(np.where(normal, 0.0, np.maximum(lam, 0.0))), dtype=float
+    )
+    if normal.any():
+        lam = lam[normal]
+        counts[normal] = np.maximum(rng.normal(lam, np.sqrt(lam)), 0.0)
+    return counts[()]
 
 
 def sample_outcome(
-    ens: EnsembleSpec, probe: ProbeConfig, seed=None
+    ens: EnsembleSpec, probe: ProbeConfig, seed=None, size=None
 ) -> MeasurementOutcome:
-    """One (I_alpha, I_beta) draw from the exact outcome law."""
+    """(I_alpha, I_beta) draws from the exact outcome law.
+
+    ``size`` follows numpy: None gives one outcome with scalar fields, an
+    integer n gives n outcomes at once as arrays of length n.
+    """
     rng = _as_rng(seed)
-    k = rng.binomial(ens.n_atoms, 0.5)
-    m = k - ens.n_atoms / 2.0
+    m = rng.binomial(ens.n_atoms, 0.5, size=size) - ens.n_atoms / 2.0
     a, b = mode_amplitudes(ens, probe, m, convention="full")
     return MeasurementOutcome(
-        i_alpha=_sample_count(rng, float(a) ** 2),
-        i_beta=_sample_count(rng, float(b) ** 2),
+        i_alpha=_sample_count(rng, a**2), i_beta=_sample_count(rng, b**2)
     )
 
 
@@ -152,23 +163,27 @@ def conditional_xi_distribution(
 ) -> SampleTable:
     """Sample outcomes and evaluate xi^2 for each by the chosen path.
 
-    method="second_order" uses the Gaussian closed form (usable at
-    experiment scale); method="exact" runs the full exact-kernel oracle
-    per sample (desk scale only).
+    All outcomes come from one vector draw, ``sample_outcome(...,
+    size=n_samples)``, so the rows differ from those of n_samples scalar
+    ``sample_outcome`` calls on the same generator.  method="second_order"
+    evaluates the Gaussian closed form on the whole array and refuses phi^2 N
+    above probe.PHI2N_WARN (``check_phi2n``); method="exact" runs the
+    exact-kernel oracle per sample (desk scale only).
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    rng = _as_rng(seed)
+    if method not in ("second_order", "exact"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "second_order":
+        check_phi2n(ens, refuse=True)
+    out = sample_outcome(ens, probe, seed, size=n_samples)
     rows = np.empty((n_samples, 3))
-    for i in range(n_samples):
-        out = sample_outcome(ens, probe, rng)
-        if method == "second_order":
-            xi = xi_closed_form(ens, probe, out).xi_sq
-        elif method == "exact":
-            xi = oracle_xi(ens, probe, out).xi_sq
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        rows[i] = (out.i_alpha, out.i_beta, xi)
+    rows[:, 0], rows[:, 1] = out.i_alpha, out.i_beta
+    if method == "second_order":
+        rows[:, 2] = xi_closed_form_array(ens, probe, out)
+    else:
+        for row, (i_alpha, i_beta) in zip(rows, rows[:, :2].tolist()):
+            row[2] = oracle_xi(ens, probe, MeasurementOutcome(i_alpha, i_beta)).xi_sq
     quantiles = {}
     if n_samples:
         finite = rows[:, 2][np.isfinite(rows[:, 2])]
@@ -232,8 +247,8 @@ def compare_report(
                             i_alpha=max(mean.i_alpha + da * sa, 0.0),
                             i_beta=max(mean.i_beta + db * sb, 0.0),
                         )
-                        xi_o = oracle_xi(ens, probe, out).xi_sq
-                        xi_c = xi_closed_form(ens, probe, out, jx_mode=jx_mode).xi_sq
+                        xi_o = float(oracle_xi(ens, probe, out).xi_sq)
+                        xi_c = float(xi_closed_form(ens, probe, out, jx_mode).xi_sq)
                         rel = abs(xi_c - xi_o) / xi_o
                         max_rel = max(max_rel, rel)
                         if rel > max(gate, c_phi * phi * math.sqrt(n)):

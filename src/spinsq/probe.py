@@ -30,7 +30,7 @@ from .dicke import EnsembleSpec, css_log_weights
 #: proximity threshold to the singular phases {0, pi/2, pi, ...}
 EPS_SING = 1e-6
 
-#: warn when phi^2 N exceeds this in the truncated-moment path
+#: phi^2 N above which the second-order expansion no longer holds (check_phi2n)
 PHI2N_WARN = 0.1
 
 #: cost cap for the exact O(N) sums
@@ -112,6 +112,21 @@ def mode_amplitudes(
     return alpha, beta
 
 
+def check_phi2n(ens: EnsembleSpec, refuse: bool = False) -> float:
+    """phi^2 N; above PHI2N_WARN the second-order expansion no longer holds,
+    which warns, or raises ValueError when ``refuse`` is set."""
+    phi2n = ens.phi * ens.phi * ens.n_atoms
+    if phi2n > PHI2N_WARN:
+        msg = (
+            f"phi^2 * N = {phi2n:.3g} exceeds {PHI2N_WARN}; "
+            "second-order results may be inaccurate"
+        )
+        if refuse:
+            raise ValueError(msg)
+        warnings.warn(msg, stacklevel=3)
+    return phi2n
+
+
 def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMoments:
     """Second-order (in phi) closed-form moments.
 
@@ -121,13 +136,8 @@ def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMome
     per-mode variances carry the second-order terms of order I0^2 N phi^2.
     The difference photocurrent assumes the theta = 0 envelope configuration.
     """
+    check_phi2n(ens)
     i0, x, n, phi = probe.i0, probe.x_t, ens.n_atoms, ens.phi
-    if phi * phi * n > PHI2N_WARN:
-        warnings.warn(
-            f"phi^2 * N = {phi * phi * n:.3g} exceeds {PHI2N_WARN}; "
-            "second-order moments may be inaccurate",
-            stacklevel=2,
-        )
     c2, s2 = math.cos(x) ** 2, math.sin(x) ** 2
     c2x, c4x, s2x = math.cos(2 * x), math.cos(4 * x), math.sin(2 * x)
     a = i0 * n * phi * phi  # recurring combination I0 N phi^2

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .backaction import ExpansionCoeffs, MeasurementOutcome, expansion_coeffs
 from .dicke import EnsembleSpec, SqueezingResult
 from .probe import ProbeConfig
@@ -40,6 +42,9 @@ class NoiseModel:
 
 REIDC = NoiseModel("reidc")
 ALKALI = NoiseModel("alkali")
+
+#: outcomes per closed-form evaluation in xi_closed_form_array
+CLOSED_FORM_BLOCK = 2048
 
 
 def _as_model(model) -> NoiseModel:
@@ -73,14 +78,18 @@ def g3(a: float, b: float, c: float, n_atoms: float) -> float:
 # Closed-form squeezing parameter
 # ---------------------------------------------------------------------------
 
+@np.errstate(over="raise")
 def closed_form_moments(
     ens: EnsembleSpec, coef: ExpansionCoeffs, jx_mode: str = "exact"
 ) -> SqueezingResult:
-    """<Jz^2>, <Jx>, xi^2 from expansion coefficients via Gaussian integrals."""
+    """<Jz^2>, <Jx>, xi^2 from expansion coefficients via Gaussian integrals,
+    elementwise over array coefficients; an overflow raises FloatingPointError."""
     n, phi = ens.n_atoms, ens.phi
     lam, w, y = coef.lam, coef.w, coef.y
     s = n * phi * phi * lam / 2.0
-    jz2 = (n / 4.0) * (1.0 / (1.0 + s) + n * phi * phi * w * w / (1.0 + s) ** 2)
+    jz2 = (n / 4.0) * (
+        1.0 / (1.0 + s) + n * phi * phi * w * w / np.float_power(1.0 + s, 2.0)
+    )
 
     if jx_mode == "shortcut":
         jx = n / 2.0
@@ -89,9 +98,9 @@ def closed_form_moments(
         b = 2.0 * w * phi
         bp = b - lam * phi * phi
         jx = (
-            math.exp(y * phi * phi + w * phi)
+            np.exp(y * phi * phi + w * phi)
             * ((-bp + a * n) / (2.0 * a))
-            * math.exp((bp * bp - b * b) / (4.0 * a))
+            * np.exp((bp * bp - b * b) / (4.0 * a))
         )
     else:
         raise ValueError(f"unknown jx_mode {jx_mode!r}")
@@ -112,6 +121,21 @@ def xi_closed_form(
     """
     coef = expansion_coeffs(probe, out)
     return closed_form_moments(ens, coef, jx_mode=jx_mode)
+
+
+def xi_closed_form_array(
+    ens: EnsembleSpec, probe: ProbeConfig, out: MeasurementOutcome, jx_mode="exact"
+) -> np.ndarray:
+    """xi^2 of ``xi_closed_form`` for 1-D outcome arrays, evaluated
+    CLOSED_FORM_BLOCK outcomes at a time to bound the temporaries."""
+    xi_sq = np.empty(np.shape(out.i_alpha))
+    for start in range(0, xi_sq.size, CLOSED_FORM_BLOCK):
+        block = slice(start, start + CLOSED_FORM_BLOCK)
+        coef = expansion_coeffs(
+            probe, MeasurementOutcome(out.i_alpha[block], out.i_beta[block])
+        )
+        xi_sq[block] = closed_form_moments(ens, coef, jx_mode=jx_mode).xi_sq
+    return xi_sq
 
 
 def xi_most_probable(eta: float, d: float) -> float:

@@ -215,13 +215,16 @@ MC_ENS = EnsembleSpec(n_atoms=400, phi=7.07e-3)
 MC_PROBE = ProbeConfig(i0=100.0, x_t=math.pi / 4)
 
 
-def _mc_moments(seed=0):
-    rng = np.random.default_rng(seed)
+@pytest.fixture(scope="module")
+def mc_moments():
+    """Seed-0 scalar draws shared by 6, 6a and 6b (one 1e5-draw loop, not three)."""
+    rng = np.random.default_rng(0)
     ia = np.empty(N_MC)
     ib = np.empty(N_MC)
     for i in range(N_MC):
         s = sample_outcome(MC_ENS, MC_PROBE, rng)
         ia[i], ib[i] = s.i_alpha, s.i_beta
+    ia.flags.writeable = ib.flags.writeable = False
     return ia, ib, intensity_moments_approx(MC_ENS, MC_PROBE)
 
 
@@ -239,13 +242,13 @@ def _z_var(arr, var):
     return (arr.var(ddof=1) - var) / _var_se(arr)
 
 
-def test_criterion_6a_monte_carlo_means():
-    ia, ib, mom = _mc_moments(seed=0)
+def test_criterion_6a_monte_carlo_means(mc_moments):
+    ia, ib, mom = mc_moments
     assert abs(_z_mean(ia, mom.mean_alpha)) < 3.0
     assert abs(_z_mean(ib, mom.mean_beta)) < 3.0
 
 
-def test_criterion_6b_monte_carlo_variances():
+def test_criterion_6b_monte_carlo_variances(mc_moments):
     """Sampled per-mode variances vs the second-order formulas V2.
 
     V2 is exact only to second order in phi, so the gate is 3 standard
@@ -272,7 +275,7 @@ def test_criterion_6b_monte_carlo_variances():
     the only margin beyond 3 SE.  A wrong second-order coefficient moves V2
     by hundreds and fails.
     """
-    ia, ib, mom = _mc_moments(seed=0)
+    ia, ib, mom = mc_moments
     ex = intensity_moments_exact(MC_ENS, MC_PROBE)
     n, phi, i0 = MC_ENS.n_atoms, MC_ENS.phi, MC_PROBE.i0
     bound = 4.0 * i0**2 * (n * phi**2) ** 2
@@ -284,10 +287,10 @@ def test_criterion_6b_monte_carlo_variances():
         assert -3.0 * se - bound <= arr.var(ddof=1) - v2 <= 3.0 * se
 
 
-def test_criterion_6_sampler_matches_exact_mixture_moments():
+def test_criterion_6_sampler_matches_exact_mixture_moments(mc_moments):
     # control for 6b: the same samples agree with the exact mixture
     # variances, locating the discrepancy in the formulas, not the sampler
-    ia, ib, _ = _mc_moments(seed=0)
+    ia, ib, _ = mc_moments
     ex = intensity_moments_exact(MC_ENS, MC_PROBE)
     assert abs(_z_var(ia, ex.var_alpha)) < 3.0
     assert abs(_z_var(ib, ex.var_beta)) < 3.0

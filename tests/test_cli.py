@@ -125,6 +125,7 @@ def test_oracle_report_default_passes_gate(tmp_path, capsys):
     assert meta["pass_flat_gate"] == "True"
     assert float(meta["max_rel_err"]) < 0.05
     assert len(rows) == 2
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_oracle_report_gate_failure_exits_4(tmp_path, capsys):
@@ -210,6 +211,15 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
     code, _, err = run_main(["--config", cfg, "sample"], capsys)
     assert code == EXIT_NUMERIC
     assert "numeric error" in err
+
+
+def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):
+    # phi^2 N = 100 >> 0.1: the closed form would print xi^2 ~ 1e46
+    cfg = write_config(tmp_path, "[sample]\nphi = 0.5\nn_atoms = 400\n")
+    code, out, err = run_main(["--config", cfg, "sample"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numeric error" in err and "phi^2 * N" in err
 
 
 def test_env_overrides(tmp_path, capsys, monkeypatch):

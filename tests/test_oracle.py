@@ -108,13 +108,56 @@ def test_sample_outcome_total_variance_matches_formula():
     assert abs(tot.var(ddof=1) - var_exact) < 4 * se
 
 
+def test_vector_sample_outcome_normal_branch_law():
+    # lambda ~ 2e7 > POISSON_NORMAL_SWITCH: every draw takes the Normal branch;
+    # phi makes Var(lambda) about E[lambda], so the Normal's own variance
+    # lambda is half of each mode's variance and a wrong width shows
+    n_draws = 200_000
+    ens = EnsembleSpec(n_atoms=400, phi=1.4e-5)
+    probe = ProbeConfig(i0=1e7, x_t=0.6)
+    out = sample_outcome(ens, probe, seed=11, size=n_draws)
+    assert out.i_alpha.shape == out.i_beta.shape == (n_draws,)
+    ex = intensity_moments_exact(ens, probe)
+    for draws, mean, var in (
+        (out.i_alpha, ex.mean_alpha, ex.var_alpha),
+        (out.i_beta, ex.mean_beta, ex.var_beta),
+    ):
+        assert abs(draws.mean() - mean) < 4.0 * math.sqrt(var / n_draws)
+        m4 = np.mean((draws - draws.mean()) ** 4)
+        var_se = math.sqrt((m4 - draws.var(ddof=1) ** 2) / n_draws)
+        assert abs(draws.var(ddof=1) - var) < 4.0 * var_se
+
+
+def test_vector_sample_outcome_zero_mean_gives_exact_zeros():
+    # phi = 0, x_t = 0: lambda_beta = 4 I0 sin^2(0) = 0 on every draw, while
+    # lambda_alpha = 4 I0 sits on the Normal (I0 = 1e7) or Poisson branch
+    for i0 in (1e7, 25.0):
+        out = sample_outcome(
+            EnsembleSpec(n_atoms=50, phi=0.0), ProbeConfig(i0=i0, x_t=0.0), seed=2, size=500
+        )
+        assert np.all(out.i_beta == 0.0)
+        assert np.all(out.i_alpha > 0.0)
+
+
+def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():
+    ens = EnsembleSpec(n_atoms=400, phi=7.07e-3)
+    probe = ProbeConfig(i0=100.0, x_t=0.7)
+    t = conditional_xi_distribution(ens, probe, n_samples=300, seed=4)
+    expected = [
+        xi_closed_form(ens, probe, MeasurementOutcome(a, b)).xi_sq
+        for a, b in t.rows[:, :2].tolist()
+    ]
+    np.testing.assert_array_equal(t.rows[:, 2], expected)
+
+
 def test_conditional_xi_distribution_exact_frozen():
+    # frozen for the vector stream: binomial(size=60), then Poisson arrays
     t = conditional_xi_distribution(
         ENS12, PROBE9, n_samples=60, seed=3, method="exact"
     )
     assert t.rows.shape == (60, 3)
     assert t.method == "exact"
-    assert t.quantiles[0.5] == pytest.approx(0.8450598186342635, rel=1e-10)
+    assert t.quantiles[0.5] == pytest.approx(0.7657654326803325, rel=1e-10)
     assert t.quantiles[0.25] <= t.quantiles[0.5] <= t.quantiles[0.75]
 
 
@@ -133,6 +176,9 @@ def test_conditional_xi_median_dominates_most_probable_value():
         conditional_xi_distribution(ens, probe, n_samples=-1)
     with pytest.raises(ValueError):
         conditional_xi_distribution(ens, probe, n_samples=1, method="bogus")
+    # phi^2 N = 100: outside the second-order regime, refused
+    with pytest.raises(ValueError, match="phi"):
+        conditional_xi_distribution(EnsembleSpec(n_atoms=400, phi=0.5), probe, n_samples=1)
 
 
 def test_compare_report_means_only_within_flat_gate():

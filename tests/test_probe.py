@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinsq import (
     intensity_moments_exact,
     mode_amplitudes,
 )
+from spinsq.probe import PHI2N_WARN, check_phi2n
 
 ENS = EnsembleSpec(n_atoms=200, phi=0.005)
 PROBE = ProbeConfig(i0=100.0, x_t=math.pi / 8)
@@ -124,6 +126,20 @@ def test_approx_warns_on_large_phi2n():
     ens_big = EnsembleSpec(n_atoms=1000, phi=0.02)  # phi^2 N = 0.4
     with pytest.warns(UserWarning, match="phi"):
         intensity_moments_approx(ens_big, PROBE)
+
+
+def test_check_phi2n_warns_or_refuses_above_one_threshold():
+    n = 1000
+    below = EnsembleSpec(n_atoms=n, phi=math.sqrt(0.99 * PHI2N_WARN / n))
+    above = EnsembleSpec(n_atoms=n, phi=math.sqrt(1.01 * PHI2N_WARN / n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert check_phi2n(below) == pytest.approx(0.99 * PHI2N_WARN, rel=1e-12)
+        assert check_phi2n(below, refuse=True) == check_phi2n(below)
+    with pytest.warns(UserWarning, match="phi"):
+        assert check_phi2n(above) == pytest.approx(1.01 * PHI2N_WARN, rel=1e-12)
+    with pytest.raises(ValueError, match="phi"):
+        check_phi2n(above, refuse=True)
 
 
 def test_exact_sum_cap():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -8,6 +9,7 @@ from spinsq import (
     ALKALI,
     REIDC,
     EnsembleSpec,
+    MeasurementOutcome,
     NoiseModel,
     ProbeConfig,
     eta_optimal,
@@ -21,7 +23,7 @@ from spinsq import (
     xi_most_probable,
     xi_noisy,
 )
-from spinsq.squeezing import closed_form_moments
+from spinsq.squeezing import CLOSED_FORM_BLOCK, closed_form_moments, xi_closed_form_array
 from spinsq.backaction import ExpansionCoeffs
 
 
@@ -75,6 +77,44 @@ def test_closed_form_moments_jx_zero_sentinel():
     assert math.isinf(r.xi_sq)
     with pytest.raises(ValueError):
         closed_form_moments(ens, coef, jx_mode="bogus")
+
+
+@pytest.mark.parametrize("jx_mode", ["exact", "shortcut"])
+def test_xi_closed_form_array_matches_scalar_rows(jx_mode):
+    # N = 4, phi = 0.1 makes the Gaussian <Jx> negative at large I_alpha
+    # with I_beta = 0, so the jx_zero sentinel is among the rows; zeros are
+    # the outcomes that fig3 clamps; more than one block is evaluated
+    ens = EnsembleSpec(n_atoms=4, phi=0.1)
+    probe = ProbeConfig(i0=100.0, x_t=math.pi / 4)
+    rng = np.random.default_rng(5)
+    i_alpha = np.concatenate([[0.0, 0.0, 4000.0, 200.0], rng.uniform(0, 600, 2 * CLOSED_FORM_BLOCK)])
+    i_beta = np.concatenate([[0.0, 150.0, 0.0, 200.0], rng.uniform(0, 600, 2 * CLOSED_FORM_BLOCK)])
+    xi = xi_closed_form_array(ens, probe, MeasurementOutcome(i_alpha, i_beta), jx_mode=jx_mode)
+    expected = [
+        xi_closed_form(ens, probe, MeasurementOutcome(a, b), jx_mode=jx_mode).xi_sq
+        for a, b in zip(i_alpha.tolist(), i_beta.tolist())
+    ]
+    if jx_mode == "exact":
+        assert math.isinf(xi[2]) and math.isinf(expected[2])
+    # one formula for both: every row is bit-identical
+    np.testing.assert_array_equal(xi, expected)
+
+
+def test_closed_form_moments_broadcast_sentinel_and_overflow():
+    ens = EnsembleSpec(n_atoms=4, phi=0.1)
+    coef = ExpansionCoeffs(
+        v=np.zeros(3), w=np.array([0.0, 500.0, 1.0]), y=np.zeros(3), z=np.zeros(3)
+    )
+    r = closed_form_moments(ens, coef, jx_mode="exact")
+    assert r.jx_zero.tolist() == [False, True, False]
+    assert math.isinf(r.xi_sq[1]) and np.all(np.isfinite(r.xi_sq[[0, 2]]))
+    for k in (0, 2):
+        scalar = closed_form_moments(ens, ExpansionCoeffs(0.0, float(coef.w[k]), 0.0, 0.0))
+        assert r.xi_sq[k] == scalar.xi_sq
+    # e^{W phi} overflows: refused, never returned as inf
+    huge = ExpansionCoeffs(v=np.zeros(2), w=np.array([0.0, 1e4]), y=np.zeros(2), z=np.zeros(2))
+    with pytest.raises(FloatingPointError):
+        closed_form_moments(EnsembleSpec(n_atoms=100, phi=1.0), huge, jx_mode="exact")
 
 
 def test_xi_most_probable():
