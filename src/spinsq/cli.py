@@ -17,12 +17,16 @@ override built-in defaults (command-line flags win over the environment).
 no effect: every subcommand runs in one thread, and fig3 and sample evaluate
 their outcomes as numpy arrays.
 
-Exit codes: 0 success; 2 configuration error; 3 numeric-domain error;
+Exit codes: 0 success; 2 configuration error; 3 numeric-domain error
+(including phi^2 N above probe.PHI2N_WARN in fig3 and second-order sample);
 4 acceptance-gate failure (oracle-report).
 
 Output is data only (no plotting).  Every default that participated in a
-run is echoed into the output metadata, along with any warnings (such as
-auto-nudged singular phases) and the RNG algorithm for sampling runs.
+run is echoed into the output metadata, along with the RNG algorithm for
+sampling runs and any warnings: auto-nudged singular phases, then the
+Python warnings raised while the subcommand ran.  Each subcommand returns
+its columns; the renderer formats each distinct value of a column once and
+streams the text to --out or stdout, which receive the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from .oracle import (
     conditional_xi_distribution,
 )
 from .planner import GeometrySpec, MaterialSpec, load_materials, plan, table1
-from .probe import EPS_SING, ProbeConfig, intensity_moments_approx
+from .probe import EPS_SING, ProbeConfig, check_phi2n, intensity_moments_approx
 from .squeezing import (
     ALKALI,
     REIDC,
@@ -143,44 +148,112 @@ def _env_default(name: str, fallback, cast):
 # output rendering
 # ---------------------------------------------------------------------------
 
-def _render(columns, rows, metadata, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {"metadata": metadata, "columns": list(columns), "rows": rows},
-            indent=2,
-            default=float,
-        )
+#: rows formatted and written at a time; bounds the output text held in memory
+_BLOCK_ROWS = 8192
+
+
+def _csv_text(value) -> str:
+    """One cell as csv.writer writes it: floats (numpy float64 too) as their
+    repr, anything else as str with minimal quoting."""
+    if isinstance(value, float):
+        return float.__repr__(value)
     buf = io.StringIO()
-    for key in sorted(metadata):
-        buf.write(f"# {key} = {metadata[key]}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    # the empty second field keeps csv from quoting a lone empty field
+    csv.writer(buf, lineterminator="\n").writerow((value, ""))
+    return buf.getvalue()[:-2]
 
 
-def _emit(text: str, out_path: str | None):
+def _json_text(value) -> str:
+    """One cell as json.dumps(..., default=float) writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, default=float)
+
+
+def _cell_texts(values, cell) -> list:
+    """``cell(v)`` for each value of a column, each distinct value formatted once.
+
+    float64 arrays are keyed by bit pattern, so 0.0 and -0.0 never share a
+    text; other values by (type, value), so 0, 0.0 and False never do.
+    Floats outside float64 arrays are formatted cell by cell.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        floats = keys.view(np.float64)
+        # a finite float's text is its repr in every format; calling repr
+        # directly saves a Python call per value
+        texts = list(map(float.__repr__ if np.isfinite(floats).all() else cell, floats.tolist()))
+        return list(map(texts.__getitem__, inverse.tolist()))
+    cache: dict = {}
+    out = []
+    for v in values:
+        if isinstance(v, float):
+            out.append(cell(v))
+            continue
+        key = (type(v), v)
+        if key not in cache:
+            cache[key] = cell(v)
+        out.append(cache[key])
+    return out
+
+
+def _text_rows(columns: dict, cell):
+    """Yield the rows of ``columns`` as tuples of cell texts, one block of
+    _BLOCK_ROWS rows at a time."""
+    n_rows = len(next(iter(columns.values()), ()))
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield zip(*(_cell_texts(col[block], cell) for col in columns.values()), strict=True)
+
+
+def _render(columns: dict, metadata: dict, fmt: str):
+    """Yield the output text of ``columns`` (name -> equal-length sequence of
+    scalars) and ``metadata`` in pieces; the text ends with a newline.
+
+    CSV: ``# key = value`` lines, then csv.writer rows with floats as repr.
+    JSON: json.dumps({"metadata", "columns", "rows"}, indent=2, default=float).
+    """
+    if fmt == "csv":
+        yield "".join(f"# {key} = {metadata[key]}\n" for key in sorted(metadata))
+        yield ",".join(map(_csv_text, columns)) + "\n"
+        for rows in _text_rows(columns, _csv_text):
+            yield "\n".join(map(",".join, rows)) + "\n"
+        return
+    empty = json.dumps(
+        {"metadata": metadata, "columns": list(columns), "rows": []},
+        indent=2,
+        default=float,
+    )
+    # the rows replace the "[]\n}" that ends the document without rows
+    sep = opening = empty[: -len("[]\n}")] + "[\n"
+    for rows in _text_rows(columns, _json_text):
+        yield sep + ",\n".join(
+            "    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows
+        )
+        sep = ",\n"
+    yield empty + "\n" if sep is opening else "\n  ]\n}\n"
+
+
+def _emit(chunks, out_path: str | None):
+    """Write the text pieces to ``out_path`` (or stdout) as they are made."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _nudge_singular(x_t: float, warnings: list) -> float:
+def _nudge_singular(x_t: float, nudges: list) -> float:
     """Push x_t off the singular set {k pi/2} by 2 * EPS_SING if needed."""
     if min(abs(math.cos(x_t)), abs(math.sin(x_t))) >= EPS_SING:
         return x_t
     quadrant = round(x_t / (math.pi / 2.0))
     nudged = quadrant * (math.pi / 2.0) + 2.0 * EPS_SING
-    warnings.append(
+    nudges.append(
         f"x_t = {x_t!r} is within {EPS_SING:g} of a singular phase; "
         f"nudged to {nudged!r}"
     )
@@ -201,12 +274,16 @@ def cmd_fig3(section: Section) -> tuple:
 
     phi = phi_from_eta_d(eta, d, n_atoms, i0)
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
-    warnings: list = []
+    check_phi2n(ens, refuse=True)
+    nudges: list = []
     offsets = np.array(_linspace(-1.0, 1.0, grid_points))
-
-    rows = []
-    for x_t_raw in x_t_list:
-        x_t = _nudge_singular(x_t_raw, warnings)
+    per_phase = grid_points * grid_points
+    columns = {
+        name: np.empty(len(x_t_list) * per_phase)
+        for name in ("x_t", "i_alpha", "i_beta", "xi_sq")
+    }
+    for k, x_t_raw in enumerate(x_t_list):
+        x_t = _nudge_singular(x_t_raw, nudges)
         probe = ProbeConfig(i0=i0, x_t=x_t)
         mean = most_probable_outcome(probe)
         mom = intensity_moments_approx(ens, probe)
@@ -218,15 +295,15 @@ def cmd_fig3(section: Section) -> tuple:
         out = MeasurementOutcome(
             i_alpha=np.repeat(i_alpha, grid_points), i_beta=np.tile(i_beta, grid_points)
         )
-        xi_sq = xi_closed_form_array(ens, probe, out, jx_mode=jx_mode).tolist()
-        rows += zip(
-            [x_t] * len(xi_sq), out.i_alpha.tolist(), out.i_beta.tolist(), xi_sq
-        )
+        rows = slice(k * per_phase, (k + 1) * per_phase)
+        columns["x_t"][rows] = x_t
+        columns["i_alpha"][rows] = out.i_alpha
+        columns["i_beta"][rows] = out.i_beta
+        columns["xi_sq"][rows] = xi_closed_form_array(ens, probe, out, jx_mode=jx_mode)
     meta = dict(section.used)
     meta["phi"] = phi
-    if warnings:
-        meta["warnings"] = "; ".join(warnings)
-    return ("x_t", "i_alpha", "i_beta", "xi_sq"), rows, meta, EXIT_OK
+    meta["warnings"] = nudges
+    return columns, meta, EXIT_OK
 
 
 def cmd_fig4(section: Section) -> tuple:
@@ -236,20 +313,24 @@ def cmd_fig4(section: Section) -> tuple:
     reidc_d = section.get_floats("reidc_d", (10.0, 40.0))
     alkali_d = section.get_floats("alkali_d", (16.0, 51.0, 75.0))
     grid_d = section.get_floats("grid_d", tuple(float(x) for x in range(4, 101, 4)))
-    etas = [e for e in _linspace(eta_max / eta_points, eta_max, eta_points)]
+    etas = _linspace(eta_max / eta_points, eta_max, eta_points)
 
-    rows = []
-    for d in reidc_d:
-        for eta in etas:
-            rows.append(("reidc", d, eta, xi_noisy(eta, d, REIDC)))
-    for d in alkali_d:
-        for eta in etas:
-            rows.append(("alkali", d, eta, xi_noisy(eta, d, ALKALI)))
-    for d in grid_d:
-        for eta in etas:
-            rows.append(("reidc2d", d, eta, xi_noisy(eta, d, REIDC)))
-    meta = dict(section.used)
-    return ("model", "d", "eta", "xi_prime_sq"), rows, meta, EXIT_OK
+    curves = [
+        (name, d, model)
+        for name, d_list, model in (
+            ("reidc", reidc_d, REIDC), ("alkali", alkali_d, ALKALI), ("reidc2d", grid_d, REIDC)
+        )
+        for d in d_list
+    ]
+    columns = {
+        "model": [name for name, _, _ in curves for _ in etas],
+        "d": np.repeat([d for _, d, _ in curves], len(etas)),
+        "eta": np.tile(etas, len(curves)),
+        "xi_prime_sq": np.array(
+            [xi_noisy(eta, d, model) for _, d, model in curves for eta in etas], dtype=float
+        ),
+    }
+    return columns, dict(section.used), EXIT_OK
 
 
 #: CSV column -> PlanResult field where the two names differ (table1, plan)
@@ -259,18 +340,18 @@ _PLAN_FIELDS = {
 }
 
 
-def _plan_rows(results, columns) -> list:
-    return [tuple(getattr(r, _PLAN_FIELDS.get(c, c)) for c in columns) for r in results]
+def _plan_columns(results, names) -> dict:
+    return {c: [getattr(r, _PLAN_FIELDS.get(c, c)) for r in results] for c in names}
 
 
 def cmd_table1(section: Section) -> tuple:
     materials = section.get("materials", "", cast=str)
-    columns = (
+    names = (
         "material", "d", "eta_opt", "sigma_cm2", "n_atoms", "i0",
         "detuning_over_gamma", "xi_prime_sq", "xi_prime_db",
     )
-    rows = _plan_rows(table1(materials or None), columns)
-    return columns, rows, dict(section.used), EXIT_OK
+    columns = _plan_columns(table1(materials or None), names)
+    return columns, dict(section.used), EXIT_OK
 
 
 def cmd_oracle_report(section: Section) -> tuple:
@@ -297,17 +378,17 @@ def cmd_oracle_report(section: Section) -> tuple:
         gate=gate,
         jx_mode=jx_mode,
     )
-    columns = (
+    names = (
         "n_atoms", "i0", "product", "x_t", "offset_alpha", "offset_beta",
         "i_alpha", "i_beta", "xi_oracle", "xi_closed", "rel_err",
     )
-    rows = [tuple(r[c] for c in columns) for r in report["rows"]]
+    columns = {c: [r[c] for r in report["rows"]] for c in names}
     meta = dict(section.used)
     meta["max_rel_err"] = report["max_rel_err"]
     meta["pass_flat_gate"] = report["pass_flat_gate"]
     meta["pass_adaptive_gate"] = report["pass_adaptive_gate"]
     code = EXIT_OK if report["pass_flat_gate"] else EXIT_GATE
-    return columns, rows, meta, code
+    return columns, meta, code
 
 
 def cmd_sample(section: Section, seed: int) -> tuple:
@@ -323,13 +404,13 @@ def cmd_sample(section: Section, seed: int) -> tuple:
     table = conditional_xi_distribution(
         ens, probe, n_samples, seed=seed, method=method
     )
-    rows = [tuple(float(v) for v in row) for row in table.rows]
+    columns = dict(zip(("i_alpha", "i_beta", "xi_sq"), table.rows.T))
     meta = dict(section.used)
     meta["seed"] = seed
     meta["rng_algorithm"] = RNG_ALGORITHM
     for q, v in table.quantiles.items():
         meta[f"xi_sq_q{int(q * 100)}"] = v
-    return ("i_alpha", "i_beta", "xi_sq"), rows, meta, EXIT_OK
+    return columns, meta, EXIT_OK
 
 
 def cmd_plan(section: Section) -> tuple:
@@ -345,12 +426,24 @@ def cmd_plan(section: Section) -> tuple:
     mode_area = section.get("mode_area", geom_default.mode_area)
     geom = GeometrySpec(mode_area=mode_area, optical_depth=d)
     eta = section.get("eta", eta_optimal(d, REIDC))
-    columns = (
+    names = (
         "material", "d", "eta", "sigma_cm2", "length_cm", "n_atoms", "i0",
         "detuning_over_gamma", "xi_prime_sq", "xi_prime_db", "flagged",
     )
-    rows = _plan_rows([plan(mat, geom, eta)], columns)
-    return columns, rows, dict(section.used), EXIT_OK
+    columns = _plan_columns([plan(mat, geom, eta)], names)
+    return columns, dict(section.used), EXIT_OK
+
+
+#: subcommand -> handler(section, args).  The lambdas look the handlers up
+#: when called, so a wrapper bound over ``cli.cmd_*`` (a tracer) sees the call.
+_COMMANDS = {
+    "fig3": lambda section, args: cmd_fig3(section),
+    "fig4": lambda section, args: cmd_fig4(section),
+    "table1": lambda section, args: cmd_table1(section),
+    "oracle-report": lambda section, args: cmd_oracle_report(section),
+    "sample": lambda section, args: cmd_sample(section, args.seed),
+    "plan": lambda section, args: cmd_plan(section),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("csv", "json"),
         default=_env_default("FORMAT", "csv", str),
     )
-    parser.add_argument(
-        "command",
-        choices=("fig3", "fig4", "table1", "oracle-report", "sample", "plan"),
-    )
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     return parser
 
 
@@ -403,18 +493,9 @@ def main(argv=None) -> int:
 
     section = Section(config, args.command)
     try:
-        if args.command == "fig3":
-            columns, rows, meta, code = cmd_fig3(section)
-        elif args.command == "fig4":
-            columns, rows, meta, code = cmd_fig4(section)
-        elif args.command == "table1":
-            columns, rows, meta, code = cmd_table1(section)
-        elif args.command == "oracle-report":
-            columns, rows, meta, code = cmd_oracle_report(section)
-        elif args.command == "sample":
-            columns, rows, meta, code = cmd_sample(section, args.seed)
-        else:
-            columns, rows, meta, code = cmd_plan(section)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns, meta, code = _COMMANDS[args.command](section, args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -422,10 +503,16 @@ def main(argv=None) -> int:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
+    raised = list(dict.fromkeys(str(w.message) for w in caught))
+    for message in raised:
+        print(f"warning: {message}", file=sys.stderr)
+    notes = meta.pop("warnings", []) + raised
+    if notes:
+        meta["warnings"] = "; ".join(notes)
     meta.setdefault("command", args.command)
     meta.setdefault("format", args.format)
     meta.setdefault("threads", args.threads)
-    _emit(_render(columns, rows, meta, args.format), args.out)
+    _emit(_render(columns, meta, args.format), args.out)
     return code
 
 

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from spinsq import cli
 from spinsq.cli import EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -84,6 +87,16 @@ def test_fig3_singular_phase_nudged(tmp_path, capsys):
     assert "nudged" in meta.get("warnings", "")
 
 
+def test_fig3_outside_second_order_regime_exits_3(tmp_path, capsys):
+    # eta d = 12.8 at I0 = 1 gives phi^2 N = 6.4 >> 0.1; the closed form
+    # would print xi^2 from 0.07 to 103
+    cfg = write_config(tmp_path, "[fig3]\ni0 = 1\nn_atoms = 1000\ngrid_points = 3\n")
+    code, out, err = run_main(["--config", cfg, "fig3"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numeric error" in err and "phi^2 * N" in err
+
+
 def test_fig4_curves(tmp_path, capsys):
     cfg = write_config(tmp_path, "[fig4]\neta_points = 10\ngrid_d = 10 20\n")
     code, out, _ = run_main(["--config", cfg, "--format", "json", "fig4"], capsys)
@@ -126,6 +139,22 @@ def test_oracle_report_default_passes_gate(tmp_path, capsys):
     assert float(meta["max_rel_err"]) < 0.05
     assert len(rows) == 2
     assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_oracle_report_records_python_warnings_in_metadata(tmp_path, capsys):
+    # product 4 at N = 100, I0 = 10: phi^2 N = 0.2 > PHI2N_WARN, which
+    # intensity_moments_approx warns about
+    cfg = write_config(
+        tmp_path,
+        "[oracle-report]\nn_atoms = 100\ni0 = 10\nproduct = 4\nx_t = 0.7853981633974483\n",
+    )
+    _, out, err = run_main(["--config", cfg, "oracle-report"], capsys)
+    meta, _, rows = parse_csv(out)
+    assert len(rows) == 1
+    assert meta["warnings"] == (
+        "phi^2 * N = 0.2 exceeds 0.1; second-order results may be inaccurate"
+    )
+    assert "warning: phi^2 * N = 0.2" in err
 
 
 def test_oracle_report_gate_failure_exits_4(tmp_path, capsys):
@@ -252,3 +281,67 @@ def test_out_file(tmp_path, capsys):
     assert stdout == ""
     meta, header, rows = parse_csv(out_path.read_text())
     assert len(rows) == 2
+
+
+# -- output rendering ---------------------------------------------------------
+
+#: columns whose values compare equal but print differently, or need quoting
+TRICKY_COLUMNS = {
+    "signed_zero": np.array([0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -1.0]),
+    "signed_zero_list": [0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -0.0],
+    "mixed": [0, 0.0, 1, 1.0, True, False, -0.0, 0],
+    "special": [math.nan, math.inf, 1e16, 1e-05, 5e-324, np.float64(0.1), -math.inf, 1e16],
+    "special_array": np.array([math.nan, math.inf, 1e16, 1e-05, 5e-324, 0.1, -math.inf, 1e16]),
+    "text": ["a,b", 'say "hi"', "", "plain", "a,b", "two\nlines", " lead", "plain"],
+}
+TRICKY_META = {"zeta": 1.5, "alpha": "x, y", "flag": True}
+
+
+def reference_text(columns, metadata, fmt):
+    """Row by row through json.dumps or csv.writer plus repr."""
+    rows = list(zip(*columns.values()))
+    if fmt == "json":
+        doc = {"metadata": metadata, "columns": list(columns), "rows": rows}
+        return json.dumps(doc, indent=2, default=float) + "\n"
+    buf = io.StringIO()
+    for key in sorted(metadata):
+        buf.write(f"# {key} = {metadata[key]}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("block_rows", [3, 8192])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 8])
+def test_render_matches_row_by_row_reference(monkeypatch, block_rows, fmt, n_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    columns = {name: values[:n_rows] for name, values in TRICKY_COLUMNS.items()}
+    text = "".join(cli._render(columns, TRICKY_META, fmt))
+    assert text == reference_text(columns, TRICKY_META, fmt)
+
+
+#: small configs that exercise every subcommand
+SMALL_CONFIGS = {
+    "fig3": SMALL_FIG3,
+    "fig4": "[fig4]\neta_points = 10\ngrid_d = 10 20\n",
+    "table1": "",
+    "oracle-report": "[oracle-report]\nn_atoms = 100\ni0 = 100\nproduct = 1\nx_t = 0.7853981633974483\n",
+    "sample": "[sample]\nn_samples = 20\n",
+    "plan": "",
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(SMALL_CONFIGS))
+def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
+    cfg = write_config(tmp_path, SMALL_CONFIGS[command])
+    argv = ["--config", cfg, "--format", fmt]
+    _, stdout, _ = run_main(argv + [command], capsys)
+    out_path = tmp_path / f"out.{fmt}"
+    _, to_file, _ = run_main(argv + ["--out", str(out_path), command], capsys)
+    assert to_file == ""
+    assert stdout.endswith("\n")
+    assert out_path.read_bytes() == stdout.encode()
