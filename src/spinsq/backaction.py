@@ -8,9 +8,10 @@ elements between Dicke indices m, m' factorize per mode as
     S(x) = sum_n x^n / (n!)^2,
 
 where g_m is the real envelope of the mode.  S is a Bessel function
-(DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0, evaluated in log space
-through the exponentially scaled ive, and J_0(2 sqrt(-x)) for x < 0, whose
-sign is carried separately.
+(DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0, as log i0e(z) + z with
+the exponentially scaled i0e (finite for all finite z, DLMF 10.40.1), and
+J_0(2 sqrt(-x)) for x < 0, whose sign is carried separately.  Each branch
+runs only on its own elements.
 
 The second-order path expands the log-kernel to quadratic order in m*phi,
 giving the coefficients (V, W, Y, Z) and lambda = -2Y - Z.
@@ -22,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, j0
+from scipy.special import i0e, j0
 
 from .dicke import DickeWeights, EnsembleSpec, css_log_weights
-from .probe import EPS_SING, ProbeConfig, mode_amplitudes
+from .probe import EPS_SING, ProbeConfig, _is_theta_pi, mode_amplitudes
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
@@ -84,8 +85,11 @@ def expansion_coeffs(
     At the most probable outcomes these give W = 0 and lambda = 4 I0.
     Elementwise over an outcome whose fields are arrays.  Raises
     SingularPhase when |cos x_t| or |sin x_t| falls below eps_sing (both
-    appear in denominators).
+    appear in denominators), and ValueError for theta = 0, whose
+    two-cosine envelopes the expansion does not describe.
     """
+    if not _is_theta_pi(probe.theta):
+        raise ValueError("the second-order expansion requires theta = pi")
     i0, x = probe.i0, probe.x_t
     c, s = math.cos(x), math.sin(x)
     if abs(c) < eps_sing:
@@ -110,15 +114,23 @@ def expansion_coeffs(
 def _log_kernel(x):
     """(log|S|, sign) for S(x) = sum_n x^n / (n!)^2, elementwise over x.
 
-    S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0.
+    S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0, each
+    evaluated only on its own elements; a scalar x gives numpy scalars.
     """
     x = np.asarray(x, dtype=float)
     z = 2.0 * np.sqrt(np.abs(x))
-    pos = x >= 0
-    bessel = np.where(pos, ive(0, z), j0(z))
+    neg = x < 0
+    if not neg.any():
+        return (np.log(i0e(z)) + z)[()], np.ones(z.shape)[()]
+    log_s, sign = np.empty(z.shape), np.ones(z.shape)
+    pos = ~neg
+    z_pos = z[pos]
+    log_s[pos] = np.log(i0e(z_pos)) + z_pos
+    s = j0(z[neg])
     with np.errstate(divide="ignore"):
-        log_s = np.log(np.abs(bessel)) + np.where(pos, z, 0.0)
-    return log_s, np.sign(bessel)
+        log_s[neg] = np.log(np.abs(s))
+    sign[neg] = np.sign(s)
+    return log_s[()], sign[()]
 
 
 def _log_povm_element(out: MeasurementOutcome, a_m, b_m, a_p, b_p):
@@ -150,20 +162,6 @@ def povm_weight_exact(
     return float(log_w - (out.i_alpha + out.i_beta)), float(sign)
 
 
-def _exact_kernel_band(
-    ens: EnsembleSpec, probe: ProbeConfig, out: MeasurementOutcome
-):
-    """Diagonal and first-off-diagonal exact log-kernels over the m grid.
-
-    Returns (diag_log, off_log, off_sign); diagonal kernels are positive.
-    The m-independent factor e^{-(I_alpha + I_beta)} is dropped.
-    """
-    a, b = mode_amplitudes(ens, probe, ens.m_values(), convention="full")
-    diag_log, _ = _log_povm_element(out, a, b, a, b)
-    off_log, off_sign = _log_povm_element(out, a[:-1], b[:-1], a[1:], b[1:])
-    return diag_log, off_log, off_sign
-
-
 def posterior_weights(
     ens: EnsembleSpec,
     probe: ProbeConfig,
@@ -180,7 +178,6 @@ def posterior_weights(
     carried separately.
     """
     prior = css_log_weights(ens.n_atoms)
-    m = prior.m_values()
 
     if method == "exact":
         if ens.n_atoms > ORACLE_N_CAP:
@@ -191,18 +188,24 @@ def posterior_weights(
             raise ValueError(
                 f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}"
             )
-        diag_log, off_log, off_sign = _exact_kernel_band(ens, probe, out)
-        log_w = prior.log_w + diag_log
-        offdiag_logf = off_log - diag_log[:-1]
+        a, b = mode_amplitudes(ens, probe, ens.m_values(), convention="full")
+        # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
+        # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
+        log_k, sign = _log_povm_element(
+            out, np.concatenate((a, a[:-1])), np.concatenate((b, b[:-1])),
+            np.concatenate((a, a[1:])), np.concatenate((b, b[1:])),
+        )
+        diag_log = log_k[: a.size]
         return DickeWeights(
             n_atoms=ens.n_atoms,
-            log_w=log_w,
-            offdiag_logf=offdiag_logf,
-            offdiag_sign=off_sign,
+            log_w=prior.log_w + diag_log,
+            offdiag_logf=log_k[a.size :] - diag_log[:-1],
+            offdiag_sign=sign[a.size :],
         )
 
     if method == "second_order":
         coef = expansion_coeffs(probe, out)
+        m = prior.m_values()
         phi = ens.phi
         lam = coef.lam
         log_w = prior.log_w + 2.0 * coef.w * phi * m - lam * phi * phi * m * m

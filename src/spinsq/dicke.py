@@ -123,8 +123,8 @@ def css_log_weights(n_atoms: int) -> DickeWeights:
     if n_atoms < 1 or int(n_atoms) != n_atoms:
         raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
     n = int(n_atoms)
-    k = np.arange(n + 1)
-    log_w = gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1) - n * np.log(2.0)
+    log_k_fact = gammaln(np.arange(1, n + 2))  # log k! for k = 0 .. n
+    log_w = gammaln(n + 1) - log_k_fact - log_k_fact[::-1] - n * np.log(2.0)
     # enforce exact m -> -m symmetry against round-off
     log_w = 0.5 * (log_w + log_w[::-1])
     return DickeWeights(n_atoms=n, log_w=log_w)

@@ -43,8 +43,8 @@ class ProbeConfig:
 
     i0 is the mean photon number per sideband (|alpha|^2 = |beta|^2 = I0);
     x_t is the free setup phase, stored modulo 2*pi; theta is the relative
-    modulation phase, of which only the presets pi and 0 carry moment
-    formulas.
+    modulation phase, pi or 0 modulo 2*pi (the only configurations with
+    envelope formulas); any other theta raises ValueError.
     """
 
     i0: float
@@ -54,6 +54,8 @@ class ProbeConfig:
     def __post_init__(self):
         if not np.isfinite(self.i0) or self.i0 < 0:
             raise ValueError(f"i0 must be finite and >= 0, got {self.i0}")
+        if not (math.isfinite(self.theta) and abs(math.sin(self.theta)) < 1e-9):
+            raise ValueError(f"theta must be 0 or pi (mod 2 pi), got {self.theta}")
         object.__setattr__(self, "x_t", float(self.x_t) % (2 * math.pi))
 
     @property
@@ -103,13 +105,8 @@ def mode_amplitudes(
     else:
         raise ValueError(f"unknown convention {convention!r}")
     amp = 2.0 * math.sqrt(probe.i0)
-    if _is_theta_pi(probe.theta):
-        alpha = amp * np.cos(probe.x_t - shift)
-        beta = amp * np.sin(probe.x_t + shift)
-    else:
-        alpha = amp * np.cos(probe.x_t - shift)
-        beta = amp * np.cos(probe.x_t + shift)
-    return alpha, beta
+    beta_envelope = np.sin if _is_theta_pi(probe.theta) else np.cos
+    return amp * np.cos(probe.x_t - shift), amp * beta_envelope(probe.x_t + shift)
 
 
 def check_phi2n(ens: EnsembleSpec, refuse: bool = False) -> float:

@@ -96,6 +96,17 @@ def test_coeffs_match_finite_differences_of_exact_log_kernel():
     assert abs(w_num - coef.w) < 1.0
 
 
+def test_closed_form_refuses_theta_zero():
+    # the expansion is derived for the cos/sin envelopes of theta = pi
+    probe0 = ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=0.0)
+    out = most_probable_outcome(probe0)
+    with pytest.raises(ValueError, match="theta"):
+        expansion_coeffs(probe0, out)
+    with pytest.raises(ValueError, match="theta"):
+        posterior_weights(ENS, probe0, out, method="second_order")
+    expansion_coeffs(ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=3 * math.pi), out)
+
+
 def test_singular_phase_raises():
     for x in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
         probe = ProbeConfig(i0=10.0, x_t=x)
@@ -104,11 +115,12 @@ def test_singular_phase_raises():
 
 
 @pytest.mark.parametrize(
-    "x", [0.0, 1.0, -1.0, -2.0, -150.0, -200.0, -400.0, -1000.0, -1e4, 1e5, 1e13]
+    "x",
+    [0.0, 1.0, -1.0, -2.0, -150.0, -200.0, -400.0, -1000.0, -1e4, 1e5, 1e13, 1e18, 1e24],
 )
 def test_log_kernel_matches_mpmath(x):
     # S(x) = sum x^n/(n!)^2 is I0(2 sqrt x) for x >= 0, J0(2 sqrt -x) for x < 0;
-    # S < 0 at x = -2, -200 and -1e4
+    # S < 0 at x = -2, -200 and -1e4; from x ~ 5e17 on, ive(0, z) is NaN
     with mpmath.workdps(40):
         z = 2 * mpmath.sqrt(abs(x))
         s = mpmath.besseli(0, z) if x >= 0 else mpmath.besselj(0, z)
@@ -116,6 +128,17 @@ def test_log_kernel_matches_mpmath(x):
     log_s, sign = _log_kernel(x)
     assert sign == expected_sign
     assert float(log_s) == pytest.approx(expected_log, rel=1e-12, abs=1e-12)
+
+
+def test_log_kernel_array_matches_scalar_calls():
+    # one call over mixed signs takes each element through its own branch and
+    # gives bit for bit what the scalar calls give; a float gives numpy scalars
+    xs = [-1e4, -400.0, -2.0, 0.0, 1.0, 1e5, 1e18]
+    log_s, sign = _log_kernel(np.array(xs))
+    for x, log_x, sign_x in zip(xs, log_s, sign):
+        log_1, sign_1 = _log_kernel(x)
+        assert type(log_1) is np.float64 and type(sign_1) is np.float64
+        assert (log_1, sign_1) == (log_x, sign_x)
 
 
 def test_povm_weight_symmetry_and_frozen_value():

@@ -60,6 +60,16 @@ def test_fock_posterior_matches_series_kernel():
     assert fm.xi_sq == pytest.approx(ora.xi_sq, rel=1e-7)
 
 
+def test_fock_posterior_past_single_exponential_underflow():
+    # gamma^2 + I ~ 2000 here: a light factor started from e^{-(gamma^2 + I)/2}
+    # underflows to 0 and gives NaN; e^{-gamma^2/2} and e^{-I/2} do not
+    ens = EnsembleSpec(n_atoms=4, phi=math.sqrt(1.0 / (8 * 300.0)))
+    probe = ProbeConfig(i0=300.0, x_t=math.pi / 8)
+    out = most_probable_outcome(probe)
+    fm = fock_moments(fock_posterior(ens, probe, out, cutoff=2500))
+    assert fm.xi_sq == pytest.approx(oracle_xi(ens, probe, out).xi_sq, rel=1e-10)
+
+
 def test_fock_posterior_is_density_matrix():
     out = most_probable_outcome(PROBE9)
     rho = fock_posterior(ENS12, PROBE9, out)

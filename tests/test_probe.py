@@ -26,6 +26,19 @@ def test_probe_config_validation_and_wrapping():
     assert ProbeConfig(i0=1.0, x_t=1e-9).near_singular
 
 
+def test_probe_config_theta_only_zero_or_pi():
+    # any other theta used to get the theta = 0 envelopes without a word
+    for theta in (math.pi / 2, 1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="theta"):
+            ProbeConfig(i0=1.0, theta=theta)
+    for theta in (0.0, math.pi, 3 * math.pi):
+        ProbeConfig(i0=1.0, theta=theta)
+    p3 = ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=3 * math.pi)
+    assert mode_amplitudes(ENS, p3, 7.0) == mode_amplitudes(ENS, PROBE, 7.0)
+    # builds its own theta = 0 probe for the difference photocurrent
+    assert intensity_moments_exact(ENS, PROBE).var_diff > 0
+
+
 def test_mode_amplitudes_frozen_values():
     a, b = mode_amplitudes(ENS, PROBE, 10.0, convention="full")
     assert a == pytest.approx(18.83702247424973, rel=1e-12)

@@ -6,7 +6,10 @@ For each of the six subcommands, OUTDIR gets ``<command>.csv`` and
 ``<command>.json``: what ``spinsq <command>`` prints to stdout with no config
 file, seed 0 and that format.  It also gets ``fig3_101_exact.csv`` and
 ``.json``: the default four-phase ``fig3`` (two of its phases are singular and
-get nudged) on a 101x101 outcome grid with ``jx_mode = exact``.
+get nudged) on a 101x101 outcome grid with ``jx_mode = exact``, and
+``oracle_report_i0_1e4.csv`` and ``.json``: ``oracle-report`` at the oracle's
+I0 cap, I0 = 1e4 with N = 30 and 2000, on the mean outcome and +1 sigma on
+either mode, which takes the exact kernel to arguments near 1e9.
 ``exit_codes.txt`` lists each run's exit code.
 
 The package is imported from SRC, by default the ``src/`` directory of the
@@ -33,6 +36,10 @@ COMMANDS = ("fig3", "fig4", "table1", "oracle-report", "sample", "plan")
 #: extra runs: file stem -> (subcommand, INI config text)
 EXTRA_RUNS = {
     "fig3_101_exact": ("fig3", "[fig3]\ngrid_points = 101\njx_mode = exact\n"),
+    "oracle_report_i0_1e4": (
+        "oracle-report",
+        "[oracle-report]\nn_atoms = 30 2000\ni0 = 10000\noffsets = 1\n",
+    ),
 }
 
 
