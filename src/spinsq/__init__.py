@@ -18,7 +18,6 @@ from .backaction import (
     expansion_coeffs,
     most_probable_outcome,
     posterior_weights,
-    povm_weight_exact,
 )
 from .dicke import (
     DickeWeights,
@@ -56,9 +55,6 @@ from .squeezing import (
     REIDC,
     NoiseModel,
     eta_optimal,
-    g1,
-    g2,
-    g3,
     phi_from_eta_d,
     xi_closed_form,
     xi_db,
@@ -92,9 +88,6 @@ __all__ = [
     "expansion_coeffs",
     "fock_moments",
     "fock_posterior",
-    "g1",
-    "g2",
-    "g3",
     "intensity_moments_approx",
     "intensity_moments_exact",
     "load_materials",
@@ -104,7 +97,6 @@ __all__ = [
     "phi_from_eta_d",
     "plan",
     "posterior_weights",
-    "povm_weight_exact",
     "sample_outcome",
     "table1",
     "xi_closed_form",

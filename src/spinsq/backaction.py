@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import i0e, j0
 
-from .dicke import DickeWeights, EnsembleSpec, css_log_weights
+from .dicke import DickeWeights, EnsembleSpec, css_log_weights, m_values
 from .probe import EPS_SING, ProbeConfig, _is_theta_pi, mode_amplitudes
 
 #: default caps for the exact posterior path
@@ -75,16 +75,12 @@ def most_probable_outcome(probe: ProbeConfig) -> MeasurementOutcome:
     )
 
 
-def expansion_coeffs(
-    probe: ProbeConfig,
-    out: MeasurementOutcome,
-    eps_sing: float = EPS_SING,
-) -> ExpansionCoeffs:
+def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCoeffs:
     """Closed-form second-order expansion coefficients of the log-kernel.
 
     At the most probable outcomes these give W = 0 and lambda = 4 I0.
     Elementwise over an outcome whose fields are arrays.  Raises
-    SingularPhase when |cos x_t| or |sin x_t| falls below eps_sing (both
+    SingularPhase when |cos x_t| or |sin x_t| falls below EPS_SING (both
     appear in denominators), and ValueError for theta = 0, whose
     two-cosine envelopes the expansion does not describe.
     """
@@ -92,13 +88,13 @@ def expansion_coeffs(
         raise ValueError("the second-order expansion requires theta = pi")
     i0, x = probe.i0, probe.x_t
     c, s = math.cos(x), math.sin(x)
-    if abs(c) < eps_sing:
+    if abs(c) < EPS_SING:
         raise SingularPhase(
-            f"|cos(x_t)| = {abs(c):.3g} < {eps_sing:g}; expansion divides by cos(x_t)"
+            f"|cos(x_t)| = {abs(c):.3g} < {EPS_SING:g}; expansion divides by cos(x_t)"
         )
-    if abs(s) < eps_sing:
+    if abs(s) < EPS_SING:
         raise SingularPhase(
-            f"|sin(x_t)| = {abs(s):.3g} < {eps_sing:g}; expansion divides by sin(x_t)"
+            f"|sin(x_t)| = {abs(s):.3g} < {EPS_SING:g}; expansion divides by sin(x_t)"
         )
     ra = np.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
     rb = np.sqrt(out.i_beta / i0) if i0 > 0 else 0.0
@@ -145,23 +141,6 @@ def _log_povm_element(out: MeasurementOutcome, a_m, b_m, a_p, b_p):
     return -0.5 * envelopes + log_a + log_b, sign_a * sign_b
 
 
-def povm_weight_exact(
-    probe: ProbeConfig,
-    out: MeasurementOutcome,
-    ens: EnsembleSpec,
-    m: float,
-    m_prime: float,
-) -> tuple[float, float]:
-    """Signed log of <M_alpha>_{m,m'} <M_beta>_{m,m'} with the exact kernel.
-
-    Returns (log|weight|, sign).  Symmetric under m <-> m'.
-    """
-    am, bm = mode_amplitudes(ens, probe, m, convention="full")
-    ap, bp = mode_amplitudes(ens, probe, m_prime, convention="full")
-    log_w, sign = _log_povm_element(out, am, bm, ap, bp)
-    return float(log_w - (out.i_alpha + out.i_beta)), float(sign)
-
-
 def posterior_weights(
     ens: EnsembleSpec,
     probe: ProbeConfig,
@@ -178,6 +157,7 @@ def posterior_weights(
     carried separately.
     """
     prior = css_log_weights(ens.n_atoms)
+    m = m_values(ens.n_atoms)
 
     if method == "exact":
         if ens.n_atoms > ORACLE_N_CAP:
@@ -188,7 +168,7 @@ def posterior_weights(
             raise ValueError(
                 f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}"
             )
-        a, b = mode_amplitudes(ens, probe, ens.m_values(), convention="full")
+        a, b = mode_amplitudes(ens, probe, m, convention="full")
         # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
         # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
         log_k, sign = _log_povm_element(
@@ -205,7 +185,6 @@ def posterior_weights(
 
     if method == "second_order":
         coef = expansion_coeffs(probe, out)
-        m = prior.m_values()
         phi = ens.phi
         lam = coef.lam
         log_w = prior.log_w + 2.0 * coef.w * phi * m - lam * phi * phi * m * m

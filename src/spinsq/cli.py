@@ -10,14 +10,13 @@ sample         Monte Carlo outcome sampling with conditional xi^2
 plan           planning chain for one material
 
 Options: --config PATH (INI file, one section per subcommand), --out PATH,
---seed U64, --threads N, --format {csv,json}.  Environment variables
-SPINSQ_SEED, SPINSQ_THREADS, SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG
-override built-in defaults (command-line flags win over the environment).
---threads (SPINSQ_THREADS) is accepted and echoed into the metadata but has
-no effect: every subcommand runs in one thread, and fig3 and sample evaluate
-their outcomes as numpy arrays.
+--seed U64, --format {csv,json}.  Environment variables SPINSQ_SEED,
+SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG override built-in defaults
+(command-line flags win over the environment).
 
-Exit codes: 0 success; 2 configuration error; 3 numeric-domain error
+Exit codes: 0 success; 2 configuration error (including a count key --
+grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
+at or above its minimum); 3 numeric-domain error
 (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order sample);
 4 acceptance-gate failure (oracle-report).
 
@@ -50,7 +49,7 @@ from .oracle import (
     compare_report,
     conditional_xi_distribution,
 )
-from .planner import GeometrySpec, MaterialSpec, load_materials, plan, table1
+from .planner import GeometrySpec, load_materials, plan, table1
 from .probe import EPS_SING, ProbeConfig, check_phi2n, intensity_moments_approx
 from .squeezing import (
     ALKALI,
@@ -106,10 +105,7 @@ class Section:
             self.used[key] = default
             return default
         try:
-            if cast is bool:
-                value = str(raw).strip().lower() in ("1", "true", "yes", "on")
-            else:
-                value = cast(raw)
+            value = cast(raw)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"config [{self._name}] {key} = {raw!r}: {exc}"
@@ -132,6 +128,18 @@ class Section:
             raise ConfigError(f"config [{self._name}] {key} = {raw!r}: {exc}") from exc
         self.used[key] = list(values)
         return values
+
+    def get_count(self, key: str, default, minimum: int = 1) -> int:
+        """``get`` for a count; the metadata keeps the value as read."""
+        return self.count(key, self.get(key, default), minimum)
+
+    def count(self, key: str, value, minimum: int = 1) -> int:
+        """``value`` of ``key`` as an int, if it is a whole number >= minimum."""
+        if not (value >= minimum and float(value).is_integer()):
+            raise ConfigError(
+                f"config [{self._name}] {key} = {value!r}: not a whole number >= {minimum}"
+            )
+        return int(value)
 
 
 def _env_default(name: str, fallback, cast):
@@ -265,11 +273,11 @@ def cmd_fig3(section: Section) -> tuple:
     i0 = section.get("i0", 1e11)
     d = section.get("d", 40.0)
     eta = section.get("eta", 0.32)
-    n_atoms = int(section.get("n_atoms", 6e10))
+    n_atoms = section.get_count("n_atoms", 6e10)
     x_t_list = section.get_floats(
         "x_t", (0.0, math.pi / 8, math.pi / 4, math.pi / 2)
     )
-    grid_points = int(section.get("grid_points", 21))
+    grid_points = section.get_count("grid_points", 21)
     jx_mode = section.get("jx_mode", "shortcut", cast=str)
 
     phi = phi_from_eta_d(eta, d, n_atoms, i0)
@@ -308,7 +316,7 @@ def cmd_fig3(section: Section) -> tuple:
 
 def cmd_fig4(section: Section) -> tuple:
     """xi'^2 vs eta curves for both noise models, plus a 2-D (d, eta) grid."""
-    eta_points = int(section.get("eta_points", 200))
+    eta_points = section.get_count("eta_points", 200)
     eta_max = section.get("eta_max", 0.8)
     reidc_d = section.get_floats("reidc_d", (10.0, 40.0))
     alkali_d = section.get_floats("alkali_d", (16.0, 51.0, 75.0))
@@ -358,7 +366,9 @@ def cmd_oracle_report(section: Section) -> tuple:
     """Oracle vs closed-form sweep; exit 4 when the gate fails."""
     gate = section.get("gate", 0.05)
     offsets_std = section.get_floats("offsets", (0.0,))
-    n_list = section.get_floats("n_atoms", (100, 400, 1000))
+    n_list = tuple(
+        section.count("n_atoms", n) for n in section.get_floats("n_atoms", (100, 400, 1000))
+    )
     i0_list = section.get_floats("i0", (50.0, 100.0))
     prod_list = section.get_floats("product", (0.5, 1.0, 4.0))
     x_t_list = section.get_floats("x_t", (math.pi / 8, math.pi / 4, 3 * math.pi / 8))
@@ -369,7 +379,7 @@ def cmd_oracle_report(section: Section) -> tuple:
     } | {(0, o) for o in offsets_std if o})
     report = compare_report(
         grid={
-            "n_atoms": tuple(int(n) for n in n_list),
+            "n_atoms": n_list,
             "i0": i0_list,
             "product": prod_list,
             "x_t": x_t_list,
@@ -392,11 +402,11 @@ def cmd_oracle_report(section: Section) -> tuple:
 
 
 def cmd_sample(section: Section, seed: int) -> tuple:
-    n_atoms = int(section.get("n_atoms", 400))
+    n_atoms = section.get_count("n_atoms", 400)
     i0 = section.get("i0", 100.0)
     x_t = section.get("x_t", math.pi / 4)
     phi = section.get("phi", 7.07e-3)
-    n_samples = int(section.get("n_samples", 1000))
+    n_samples = section.get_count("n_samples", 1000, minimum=0)
     method = section.get("method", "second_order", cast=str)
 
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
@@ -468,9 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=_env_default("SEED", 0, int)
     )
     parser.add_argument(
-        "--threads", type=int, default=_env_default("THREADS", 1, int)
-    )
-    parser.add_argument(
         "--format",
         choices=("csv", "json"),
         default=_env_default("FORMAT", "csv", str),
@@ -511,7 +518,6 @@ def main(argv=None) -> int:
         meta["warnings"] = "; ".join(notes)
     meta.setdefault("command", args.command)
     meta.setdefault("format", args.format)
-    meta.setdefault("threads", args.threads)
     _emit(_render(columns, meta, args.format), args.out)
     return code
 

@@ -12,7 +12,7 @@ indexing with the integer 2m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -21,6 +21,11 @@ from scipy.special import gammaln
 # Sanity cap on N*phi: beyond this the second-order machinery downstream is
 # meaningless and almost certainly indicates a unit error in the input.
 PHI_N_CAP = 1e3
+
+
+def m_values(n_atoms: int) -> np.ndarray:
+    """The Dicke ladder m = -N/2 .. N/2 (half-integer when N is odd), ascending."""
+    return np.arange(-n_atoms, n_atoms + 1, 2) / 2.0
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,6 @@ class EnsembleSpec:
                 f"phi * n_atoms = {self.phi * self.n_atoms:.3g} exceeds the sanity "
                 f"cap {PHI_N_CAP:.0e}; check units"
             )
-
-    def two_m_values(self) -> np.ndarray:
-        """Integer array of 2m over the full Dicke ladder, ascending."""
-        n = self.n_atoms
-        return np.arange(-n, n + 1, 2)
-
-    def m_values(self) -> np.ndarray:
-        """Array of m (half-integer when n_atoms is odd), ascending."""
-        return self.two_m_values() / 2.0
 
 
 @dataclass
@@ -83,9 +79,6 @@ class DickeWeights:
                 self.offdiag_sign = np.asarray(self.offdiag_sign, dtype=float)
                 if self.offdiag_sign.shape != (self.n_atoms,):
                     raise ValueError("offdiag_sign must have length n_atoms")
-
-    def m_values(self) -> np.ndarray:
-        return np.arange(-self.n_atoms, self.n_atoms + 1, 2) / 2.0
 
     def normalized(self) -> np.ndarray:
         """Probability weights, exp-normalized with a max shift."""
@@ -143,7 +136,7 @@ def collective_moments(weights: DickeWeights) -> SqueezingResult:
     than an exception.
     """
     n = weights.n_atoms
-    m = weights.m_values()
+    m = m_values(n)
     shift = weights.log_w.max()
     w = np.exp(weights.log_w - shift)
     norm = w.sum()

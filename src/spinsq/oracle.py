@@ -3,8 +3,9 @@
 Everything in this module avoids the second-order expansion: the posterior
 comes from the exact Bessel kernel, the micro-oracle builds the full
 atom+light state in a truncated Fock basis (each mode's coherent amplitudes
-for every m from one cumprod) and traces the light out, and the
-Monte Carlo sampler draws outcomes from the exact mixture law
+for every m from one cumprod) and traces the light out, refusing a cutoff
+whose dropped tail it cannot bound below FOCK_TAIL_RTOL of the trace, and
+the Monte Carlo sampler draws outcomes from the exact mixture law
 
     m ~ binomial Dicke weights, then I_gamma ~ Poisson(|gamma_m|^2).
 
@@ -29,7 +30,7 @@ from .backaction import (
     most_probable_outcome,
     posterior_weights,
 )
-from .dicke import EnsembleSpec, SqueezingResult, collective_moments, css_log_weights
+from .dicke import EnsembleSpec, SqueezingResult, collective_moments, css_log_weights, m_values
 from .probe import ProbeConfig, check_phi2n, intensity_moments_approx, mode_amplitudes
 from .squeezing import xi_closed_form, xi_closed_form_array
 
@@ -38,6 +39,9 @@ RNG_ALGORITHM = "numpy.random.PCG64"
 
 #: above this Poisson mean, sampling switches to the Normal approximation
 POISSON_NORMAL_SWITCH = 1e6
+
+#: largest share of the posterior trace that fock_posterior's cutoff may drop
+FOCK_TAIL_RTOL = 1e-8
 
 
 def oracle_xi(
@@ -63,12 +67,15 @@ def fock_posterior(
     truncated Fock basis, the (diagonal) Kraus matrices for the two
     intensity outcomes are applied to the light modes, and the light is
     traced out.  Only feasible for small N and I0; serves as an independent
-    check of the exact-kernel posterior.
+    check of the exact-kernel posterior.  Raises ValueError when the Fock
+    terms past the cutoff may carry more than FOCK_TAIL_RTOL of the trace,
+    or when the kept trace underflows to 0.
     """
-    m = ens.m_values()
+    m = m_values(ens.n_atoms)
     c = np.sqrt(css_log_weights(ens.n_atoms).normalized())
     a, b = mode_amplitudes(ens, probe, m, convention="full")
     rho = np.outer(c, c)
+    bound = c * c  # diagonal of rho with each mode's dropped terms bounded above
     n = np.arange(1, cutoff + 1)
     for gamma, i_bar in ((a, out.i_alpha), (b, out.i_beta)):
         # <n|gamma_m> for all m at once, shape (N+1, cutoff+1), times the Kraus
@@ -79,14 +86,28 @@ def fock_posterior(
         steps[:, 1:] = gamma[:, None] / np.sqrt(n)
         kraus = np.concatenate(([math.exp(-i_bar / 2.0)], np.sqrt(i_bar / n)))
         light = np.cumprod(steps, axis=1) * np.cumprod(kraus)
-        rho *= light @ light.T
-    return rho / np.trace(rho)
+        kernel = light @ light.T
+        rho *= kernel
+        # past the cutoff each term of a row shrinks by at least the factor
+        # q = |gamma| sqrt(i_bar) / (cutoff + 1), so while q < 1 the squares
+        # dropped from the diagonal sum to at most light[:, -1]^2 q^2 / (1 - q^2)
+        q2 = gamma * gamma * (i_bar / (cutoff + 1) ** 2)
+        tail = light[:, -1] ** 2 * q2 / (1.0 - q2) if q2.max() < 1.0 else np.inf
+        bound *= np.diag(kernel) + tail
+    trace, total = np.trace(rho), bound.sum()
+    # a trace that underflowed to 0 would give NaN
+    if not (trace > 0.0 and total <= (1.0 + FOCK_TAIL_RTOL) * trace):
+        raise ValueError(
+            f"Fock cutoff {cutoff} keeps a trace of {trace:.3g}; the full trace "
+            f"may reach {total:.3g}, more than {FOCK_TAIL_RTOL:g} above it"
+        )
+    return rho / trace
 
 
 def fock_moments(rho: np.ndarray) -> SqueezingResult:
     """<Jz^2>, <Jx>, xi^2 by dense-matrix traces with ladder matrix elements."""
     n = rho.shape[0] - 1
-    m = np.arange(-n, n + 1, 2) / 2.0
+    m = m_values(n)
     jz2 = float(np.dot(np.diag(rho), m * m))
     ladder = 0.5 * np.sqrt((n / 2.0 - m[:-1]) * (n / 2.0 + m[:-1] + 1.0))
     jx = float(2.0 * np.dot(np.diag(rho, 1), ladder))
@@ -140,7 +161,6 @@ class SampleTable:
     rows: np.ndarray  # shape (n, 3): i_alpha, i_beta, xi_sq
     quantiles: dict = field(default_factory=dict)
     method: str = "second_order"
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 def conditional_xi_distribution(
@@ -202,7 +222,6 @@ def compare_report(
     grid: dict | None = None,
     offsets=DEFAULT_OFFSETS,
     gate: float = 0.05,
-    c_phi: float = 1.0,
     jx_mode: str = "exact",
 ) -> dict:
     """Sweep oracle vs closed-form xi^2 over a desk-scale grid.
@@ -211,10 +230,10 @@ def compare_report(
     the per-mode means displaced by the given multiples of the per-mode
     standard deviations.  Rows carry both xi^2 values and the relative
     error; the summary reports the flat gate and the softer adaptive gate
-    max(gate, c_phi * phi * sqrt(N)) that tracks the expansion's intrinsic
+    max(gate, phi * sqrt(N)) that tracks the expansion's intrinsic
     O(phi sqrt(N)) accuracy.  At +/-1 sigma outcomes on the default grid
-    the measured error is at most about 0.58 phi sqrt(N), so c_phi = 1
-    leaves a margin of about 1.7x.
+    the measured error is at most about 0.58 phi sqrt(N), a margin of
+    about 1.7x.
     """
     grid = {**DEFAULT_GRID, **(grid or {})}
     rows = []
@@ -240,7 +259,7 @@ def compare_report(
                         xi_c = float(xi_closed_form(ens, probe, out, jx_mode).xi_sq)
                         rel = abs(xi_c - xi_o) / xi_o
                         max_rel = max(max_rel, rel)
-                        if rel > max(gate, c_phi * phi * math.sqrt(n)):
+                        if rel > max(gate, phi * math.sqrt(n)):
                             adaptive_ok = False
                         rows.append(
                             {

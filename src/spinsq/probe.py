@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import EnsembleSpec, css_log_weights
+from .dicke import EnsembleSpec, css_log_weights, m_values
 
 #: proximity threshold to the singular phases {0, pi/2, pi, ...}
 EPS_SING = 1e-6
@@ -57,13 +57,6 @@ class ProbeConfig:
         if not (math.isfinite(self.theta) and abs(math.sin(self.theta)) < 1e-9):
             raise ValueError(f"theta must be 0 or pi (mod 2 pi), got {self.theta}")
         object.__setattr__(self, "x_t", float(self.x_t) % (2 * math.pi))
-
-    @property
-    def near_singular(self) -> bool:
-        """True when x_t is within EPS_SING of a multiple of pi/2."""
-        return (
-            min(abs(math.cos(self.x_t)), abs(math.sin(self.x_t))) < EPS_SING
-        )
 
 
 @dataclass(frozen=True)
@@ -175,7 +168,7 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
             f"n_atoms = {ens.n_atoms} exceeds the exact-sum cap {EXACT_SUM_CAP}"
         )
     w = css_log_weights(ens.n_atoms).normalized()
-    m = ens.m_values()
+    m = m_values(ens.n_atoms)
 
     # totals: half convention
     ah, bh = mode_amplitudes(ens, probe, m, convention="half")

@@ -1,14 +1,16 @@
 """Closed-form squeezing parameter, limits, and photon-scattering noise.
 
-The Gaussian-integral solution of the second-order posterior gives
+The second-order posterior is a Gaussian in m, so its moments are ratios of
+Gaussian integrals over the real line:
 
-    <Jz^2> = (N/4) [ 1/(1+s) + N phi^2 W^2 / (1+s)^2 ],   s = N phi^2 lambda / 2,
-    <Jx>   = e^{Y phi^2 + W phi} G3(a, b', 0) / G1(a, b, 0),
+    <Jz^2> = int x^2 e^{-a x^2 + b x} / int e^{-a x^2 + b x}
+           = (N/4) [ 1/(1+s) + N phi^2 W^2 / (1+s)^2 ],   s = N phi^2 lambda / 2,
+    <Jx>   = e^{Y phi^2 + W phi} int (N/2 - x) e^{-a x^2 + b' x} / int e^{-a x^2 + b x},
 
-with a = 2/N + lambda phi^2, b = 2 W phi, b' = b - lambda phi^2, and the
-standard Gaussian integrals G1..G3 below.  For N >> 1 and I0 ~ O(N) the
-<Jx> factor collapses to the shortcut N/2, in which case the most probable
-outcome (W = 0, lambda = 4 I0) yields the canonical
+with a = 2/N + lambda phi^2, b = 2 W phi, b' = b - lambda phi^2, both
+evaluated in closed form by ``closed_form_moments``.  For N >> 1 and
+I0 ~ O(N) the <Jx> factor collapses to the shortcut N/2, in which case the
+most probable outcome (W = 0, lambda = 4 I0) yields the canonical
 
     xi^2 = 1 / (1 + 2 I0 N phi^2) = 1 / (1 + eta d).
 
@@ -51,27 +53,6 @@ def _as_model(model) -> NoiseModel:
     if isinstance(model, NoiseModel):
         return model
     return NoiseModel(str(model))
-
-
-# ---------------------------------------------------------------------------
-# Gaussian integrals
-# ---------------------------------------------------------------------------
-
-def g1(a: float, b: float, c: float) -> float:
-    """Integral of e^{-a x^2 + b x + c} over the real line (a > 0)."""
-    if a <= 0:
-        raise ValueError(f"g1 requires a > 0, got a = {a}")
-    return math.sqrt(math.pi / a) * math.exp(b * b / (4.0 * a) + c)
-
-
-def g2(a: float, b: float, c: float) -> float:
-    """Integral of x^2 e^{-a x^2 + b x + c} over the real line (a > 0)."""
-    return (2.0 * a + b * b) / (4.0 * a * a) * g1(a, b, c)
-
-
-def g3(a: float, b: float, c: float, n_atoms: float) -> float:
-    """Integral of (N/2 - x) e^{-a x^2 + b x + c} over the real line (a > 0)."""
-    return (-b + a * n_atoms) / (2.0 * a) * g1(a, b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +158,14 @@ def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     return 0.5 * (a + b)
 
 
-def eta_optimal(
-    d: float,
-    model=REIDC,
-    method: str = "auto",
-    with_flag: bool = False,
-):
+def eta_optimal(d: float, model=REIDC, method: str = "auto") -> float:
     """Scattering probability minimizing xi_noisy at fixed optical depth.
 
     For the reidc model with d > 2 the closed form (d-2)/(3d) is available
     ("closed"); "numeric" runs a golden-section search; "auto" picks the
-    closed form when valid.  With ``with_flag`` the return value is
-    (eta, boundary) where boundary marks the absence of an interior minimum.
+    closed form when valid.  A search that ends within 1e-6 of either end
+    of its interval [1e-9, 1 - 1e-9] has found no interior minimum and
+    returns that end.
     """
     if d <= 0:
         raise ValueError(f"d must be > 0, got {d}")
@@ -198,16 +175,16 @@ def eta_optimal(
     if method not in ("auto", "closed", "numeric"):
         raise ValueError(f"unknown method {method!r}")
     if method in ("auto", "closed") and model.kind == "reidc" and d > 2:
-        eta = (d - 2.0) / (3.0 * d)
-        return (eta, False) if with_flag else eta
+        return (d - 2.0) / (3.0 * d)
     if method == "closed":
         raise ValueError("closed-form eta_optimal requires the reidc model and d > 2")
 
     eta = _golden_min(lambda e: xi_noisy(e, d, model), lo, hi)
-    boundary = eta - lo < 1e-6 or hi - eta < 1e-6
-    if boundary:
-        eta = lo if eta - lo < 1e-6 else hi
-    return (eta, boundary) if with_flag else eta
+    if eta - lo < 1e-6:
+        return lo
+    if hi - eta < 1e-6:
+        return hi
+    return eta
 
 
 def phi_from_eta_d(eta: float, d: float, n_atoms: float, i0: float) -> float:

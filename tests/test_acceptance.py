@@ -42,9 +42,6 @@ from spinsq import (
     css_log_weights,
     eta_optimal,
     fock_posterior,
-    g1,
-    g2,
-    g3,
     intensity_moments_approx,
     intensity_moments_exact,
     mode_amplitudes,
@@ -56,7 +53,9 @@ from spinsq import (
     xi_most_probable,
     xi_noisy,
 )
-from spinsq.backaction import _log_kernel
+from spinsq.backaction import ExpansionCoeffs, _log_kernel
+from spinsq.dicke import m_values
+from spinsq.squeezing import closed_form_moments
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +142,7 @@ def test_criterion_3b_oracle_equivalence_at_one_std_offsets():
     worst = max(rep["rows"], key=lambda row: row["rel_err"])
     n, i0 = worst["n_atoms"], worst["i0"]
     ens = EnsembleSpec(n_atoms=n, phi=math.sqrt(worst["product"] / (2.0 * i0 * n)))
-    alpha, beta = mode_amplitudes(ens, ProbeConfig(i0=i0, x_t=worst["x_t"]), ens.m_values())
+    alpha, beta = mode_amplitudes(ens, ProbeConfig(i0=i0, x_t=worst["x_t"]), m_values(n))
     args = np.concatenate((worst["i_alpha"] * alpha**2, worst["i_beta"] * beta**2))
     args = args[args > 0.0]
     log_s, sign = _log_kernel(args)
@@ -306,27 +305,33 @@ def test_criterion_7_identity_suite():
     # binomial ladder recursion, exact to 1e-12 for N <= 60
     for n in range(1, 61):
         dw = css_log_weights(n)
-        m = dw.m_values()[:-1]
+        m = m_values(n)[:-1]
         lhs = 0.5 * (dw.log_w[:-1] + dw.log_w[1:]) + 0.5 * np.log(
             (n / 2.0 - m) * (n / 2.0 + m + 1.0)
         )
         rhs = dw.log_w[:-1] + np.log(n / 2.0 - m)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    # Gaussian integrals vs adaptive quadrature, randomized coefficients
+    # closed-form Gaussian-integral moments vs adaptive quadrature,
+    # randomized coefficients: a = 2/N + lambda phi^2, b = 2 W phi,
+    # b' = b - lambda phi^2 and Y phi^2 = c
     rng = np.random.default_rng(2024)
+    ens = EnsembleSpec(n_atoms=50, phi=0.1)
     for _ in range(20):
         a = float(rng.uniform(0.05, 3.0))
         b = float(rng.uniform(-2.0, 2.0))
         c = float(rng.uniform(-1.0, 1.0))
+        lam = (a - 2.0 / 50) / 0.1**2
+        coef = ExpansionCoeffs(v=0.0, w=b / 0.2, y=c / 0.1**2, z=-2 * c / 0.1**2 - lam)
+        r = closed_form_moments(ens, coef)
         lim = 40.0 / math.sqrt(a)
-        f = lambda x: math.exp(-a * x * x + b * x + c)
-        q1 = quad(f, -lim, lim)[0]
-        q2 = quad(lambda x: x * x * f(x), -lim, lim)[0]
-        q3 = quad(lambda x: (25.0 - x) * f(x), -lim, lim)[0]
-        assert abs(g1(a, b, c) - q1) <= 1e-10 * abs(q1)
-        assert abs(g2(a, b, c) - q2) <= 1e-10 * abs(q2)
-        assert abs(g3(a, b, c, 50.0) - q3) <= 1e-10 * abs(q3)
+        f = lambda x, beta: math.exp(-a * x * x + beta * x)
+        q1 = quad(lambda x: f(x, b), -lim, lim)[0]
+        q2 = quad(lambda x: x * x * f(x, b), -lim, lim)[0]
+        q3 = quad(lambda x: (25.0 - x) * f(x, b - lam * 0.1**2), -lim, lim)[0]
+        jz2, jx = q2 / q1, math.exp(c + b / 2) * q3 / q1
+        assert abs(r.jz2 - jz2) <= 1e-10 * abs(jz2)
+        assert abs(r.jx - jx) <= 1e-10 * abs(jx)
 
     # POVM completeness: integral over outcomes of the diagonal kernel is 1
     for gamma_sq in (0.5, 4.0, 25.0):

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +51,21 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
+def test_cli_outputs_tool_writes_every_output(tmp_path):
+    # tools/cli_outputs.py writes the files that a before/after diff compares
+    tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    proc = subprocess.run(
+        [sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "exit_codes.txt")
+    assert len(outputs) == 16
+    assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
+    codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
+    assert sorted(line.split()[0] for line in codes) == outputs
+    assert all(line.endswith(" 0") for line in codes)
+
+
 def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
     cfg = write_config(tmp_path, SMALL_FIG3)
     code, out, _ = run_main(["--config", cfg, "fig3"], capsys)
@@ -63,17 +79,6 @@ def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
     assert xi[center] == pytest.approx(1.0 / 3.0, rel=1e-10)
     # the center is the minimum over the grid
     assert all(v >= xi[center] - 1e-12 for v in xi.values())
-
-
-def test_fig3_threads_deterministic(tmp_path, capsys):
-    cfg = write_config(tmp_path, SMALL_FIG3)
-    _, out1, _ = run_main(["--config", cfg, "--threads", "1", "fig3"], capsys)
-    _, out4, _ = run_main(["--config", cfg, "--threads", "4", "fig3"], capsys)
-    # metadata echoes the thread count; strip it before comparing
-    strip = lambda s: "\n".join(
-        l for l in s.splitlines() if not l.startswith("# threads")
-    )
-    assert strip(out1) == strip(out4)
 
 
 def test_fig3_singular_phase_nudged(tmp_path, capsys):
@@ -210,9 +215,26 @@ def test_missing_config_exits_2(capsys):
 
 
 def test_bad_config_value_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[sample]\nn_samples = many\n")
-    code, _, _ = run_main(["--config", cfg, "sample"], capsys)
-    assert code == EXIT_CONFIG
+    # count keys take whole numbers >= 1 (n_samples >= 0); anything else is a
+    # configuration error, not an empty table, a truncated value or exit 3
+    for command, text in (
+        ("sample", "[sample]\nn_samples = many\n"),
+        ("sample", "[sample]\nn_samples = -1\n"),
+        ("sample", "[sample]\nn_atoms = 0\n"),
+        ("fig3", "[fig3]\ngrid_points = 0\n"),
+        ("fig3", "[fig3]\ngrid_points = -2\n"),
+        ("fig3", "[fig3]\ngrid_points = 2.5\n"),
+        ("fig3", "[fig3]\nn_atoms = nan\n"),
+        ("fig4", "[fig4]\neta_points = 0\n"),
+        ("fig4", "[fig4]\neta_points = -1\n"),
+        ("oracle-report", "[oracle-report]\nn_atoms = 10.5\n"),
+        ("oracle-report", "[oracle-report]\nn_atoms = 100 0\n"),
+    ):
+        cfg = write_config(tmp_path, text)
+        code, out, err = run_main(["--config", cfg, command], capsys)
+        assert code == EXIT_CONFIG, text
+        assert out == ""
+        assert "error:" in err and "numeric" not in err
 
 
 @pytest.mark.parametrize(

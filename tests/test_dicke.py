@@ -9,6 +9,7 @@ from spinsq import (
     collective_moments,
     css_log_weights,
 )
+from spinsq.dicke import m_values
 
 
 def test_css_n2_weights():
@@ -19,12 +20,13 @@ def test_css_n2_weights():
 def test_css_n1_half_integer_m():
     dw = css_log_weights(1)
     assert np.allclose(dw.normalized(), [0.5, 0.5], atol=1e-15)
-    assert np.allclose(dw.m_values(), [-0.5, 0.5])
+    assert np.allclose(m_values(1), [-0.5, 0.5])
+    assert np.array_equal(m_values(5), [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
 
 
 def test_css_n60_second_moment_is_n_over_4():
     dw = css_log_weights(60)
-    w, m = dw.normalized(), dw.m_values()
+    w, m = dw.normalized(), m_values(dw.n_atoms)
     assert np.dot(w, m * m) == pytest.approx(15.0, rel=1e-12)
 
 
@@ -34,8 +36,8 @@ def test_css_normalization_and_symmetry():
         w = dw.normalized()
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.array_equal(dw.log_w, dw.log_w[::-1])
-        assert abs(np.dot(w, dw.m_values())) < 1e-12
-        assert np.dot(w, dw.m_values() ** 2) == pytest.approx(n / 4.0, rel=1e-12)
+        assert abs(np.dot(w, m_values(n))) < 1e-12
+        assert np.dot(w, m_values(n) ** 2) == pytest.approx(n / 4.0, rel=1e-12)
 
 
 def test_css_rejects_bad_n():
@@ -73,7 +75,7 @@ def test_binomial_ladder_recursion_log_space():
     # c_m c_{m+1} sqrt((N/2-m)(N/2+m+1)) = c_m^2 (N/2-m), checked in log space
     for n in range(1, 61):
         dw = css_log_weights(n)
-        m = dw.m_values()[:-1]
+        m = m_values(n)[:-1]
         lhs = 0.5 * (dw.log_w[:-1] + dw.log_w[1:]) + 0.5 * np.log(
             (n / 2.0 - m) * (n / 2.0 + m + 1.0)
         )
@@ -84,7 +86,7 @@ def test_binomial_ladder_recursion_log_space():
 def test_gaussian_limit_total_variation():
     for n in (400, 1000):
         dw = css_log_weights(n)
-        w, m = dw.normalized(), dw.m_values()
+        w, m = dw.normalized(), m_values(dw.n_atoms)
         gauss = np.exp(-(m * m) / (n / 2.0))
         gauss /= gauss.sum()
         tvd = 0.5 * np.abs(w - gauss).sum()
@@ -98,8 +100,6 @@ def test_ensemble_spec_validation():
         EnsembleSpec(n_atoms=10, phi=-0.1)
     with pytest.raises(ValueError):
         EnsembleSpec(n_atoms=10**6, phi=1.0)  # phi * N above sanity cap
-    ens = EnsembleSpec(n_atoms=5, phi=0.01)
-    assert np.array_equal(ens.two_m_values(), [-5, -3, -1, 1, 3, 5])
 
 
 def test_dicke_weights_shape_validation():

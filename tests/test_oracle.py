@@ -78,6 +78,22 @@ def test_fock_posterior_is_density_matrix():
     assert np.all(np.linalg.eigvalsh(rho) > -1e-12)
 
 
+def test_fock_posterior_refuses_truncated_tail():
+    # N = 8, X_t = pi/8, 2 I0 N phi^2 = 1, mean outcome, cutoff 40: with the
+    # dropped tail renormalized away, xi^2 would be 0.649 at I0 = 9 (oracle
+    # 0.650), 4.71 at I0 = 25 (oracle 0.630), 1884 at I0 = 100, NaN at 2000
+    for i0 in (9.0, 25.0, 100.0, 2000.0):
+        ens = EnsembleSpec(n_atoms=8, phi=math.sqrt(1.0 / (16.0 * i0)))
+        probe = ProbeConfig(i0=i0, x_t=math.pi / 8)
+        with pytest.raises(ValueError, match="Fock cutoff 40"):
+            fock_posterior(ens, probe, most_probable_outcome(probe))
+    # outcomes far above the light's mean: every kept term underflows, and
+    # the trace of 0 would give NaN
+    ens, probe = EnsembleSpec(n_atoms=4, phi=0.01), ProbeConfig(i0=0.01, x_t=math.pi / 4)
+    with pytest.raises(ValueError, match="trace of 0"):
+        fock_posterior(ens, probe, MeasurementOutcome(2000.0, 2000.0))
+
+
 def test_sample_outcome_deterministic_frozen():
     ens = EnsembleSpec(n_atoms=400, phi=math.sqrt(4.0 / (2 * 100 * 400)))
     probe = ProbeConfig(i0=100.0, x_t=math.pi / 4)
@@ -203,7 +219,7 @@ def test_compare_report_adaptive_gate_on_axis_offsets():
     # off-mean outcomes exceed the flat 5% gate but stay within the adaptive
     # max(5%, phi sqrt N) gate that tracks the expansion's intrinsic accuracy
     grid = {"n_atoms": (400,), "i0": (100.0,), "product": (1.0, 4.0)}
-    rep = compare_report(grid=grid, gate=0.05, c_phi=1.0)
+    rep = compare_report(grid=grid, gate=0.05)
     assert rep["pass_adaptive_gate"]
 
 

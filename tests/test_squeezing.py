@@ -13,9 +13,6 @@ from spinsq import (
     NoiseModel,
     ProbeConfig,
     eta_optimal,
-    g1,
-    g2,
-    g3,
     most_probable_outcome,
     phi_from_eta_d,
     xi_closed_form,
@@ -28,22 +25,20 @@ from spinsq.backaction import ExpansionCoeffs
 
 
 def test_gaussian_integrals_against_quadrature():
-    a, b, c, n = 0.37, -1.2, 0.4, 50.0
-    assert g1(a, b, c) == pytest.approx(
-        quad(lambda x: math.exp(-a * x * x + b * x + c), -60, 60)[0], rel=1e-10
-    )
-    assert g2(a, b, c) == pytest.approx(
-        quad(lambda x: x * x * math.exp(-a * x * x + b * x + c), -60, 60)[0],
-        rel=1e-10,
-    )
-    assert g3(a, b, c, n) == pytest.approx(
-        quad(
-            lambda x: (n / 2 - x) * math.exp(-a * x * x + b * x + c), -60, 60
-        )[0],
-        rel=1e-10,
-    )
-    with pytest.raises(ValueError):
-        g1(-1.0, 0.0, 0.0)
+    # closed_form_moments evaluates <Jz^2> and <Jx> as ratios of Gaussian
+    # integrals; pick coefficients giving a = 2/N + lambda phi^2,
+    # b = 2 W phi and Y phi^2 = c, then integrate by quadrature
+    a, b, c, n, phi = 0.37, -1.2, 0.4, 50, 0.1
+    lam = (a - 2.0 / n) / phi**2
+    coef = ExpansionCoeffs(v=0.0, w=b / (2 * phi), y=c / phi**2, z=-2 * c / phi**2 - lam)
+    bp = b - lam * phi**2
+    f = lambda x, beta: math.exp(-a * x * x + beta * x)
+    norm = quad(lambda x: f(x, b), -60, 60)[0]
+    jz2 = quad(lambda x: x * x * f(x, b), -60, 60)[0] / norm
+    jx = math.exp(c + b / 2) * quad(lambda x: (n / 2 - x) * f(x, bp), -60, 60)[0] / norm
+    r = closed_form_moments(EnsembleSpec(n_atoms=n, phi=phi), coef)
+    assert r.jz2 == pytest.approx(jz2, rel=1e-10)
+    assert r.jx == pytest.approx(jx, rel=1e-10)
 
 
 def test_closed_form_at_most_probable_outcome_is_canonical():
@@ -159,8 +154,7 @@ def test_eta_optimal_is_a_minimum():
 
 
 def test_eta_optimal_alkali_frozen_value():
-    eta, boundary = eta_optimal(75.0, ALKALI, method="numeric", with_flag=True)
-    assert not boundary
+    eta = eta_optimal(75.0, ALKALI, method="numeric")
     assert eta == pytest.approx(0.060964689917201324, abs=1e-8)
     assert xi_noisy(eta, 75.0, ALKALI) == pytest.approx(
         0.31351776040181956, rel=1e-10
@@ -185,6 +179,9 @@ def test_eta_optimal_validation():
         eta_optimal(1.5, REIDC, method="closed")  # closed form needs d > 2
     with pytest.raises(ValueError):
         eta_optimal(10.0, REIDC, method="bogus")
+    # below d = 2 the alkali xi'^2 rises from eta = 0: no interior minimum,
+    # so the search is clamped to the lower end
+    assert eta_optimal(1.0, ALKALI) == 1e-9
 
 
 def test_phi_from_eta_d():
