@@ -24,7 +24,7 @@ def main():
     print("\nalkali-vapor model, xi'^2 = 1/(1+eta d) + eta/(1-eta) + eta/(1-eta)^2")
     print(f"{'d':>6} {'eta_opt':>9} {'xi_min^2':>9} {'dB':>6}")
     for d in (16.0, 51.0, 75.0):
-        eta = eta_optimal(d, ALKALI, method="numeric")
+        eta = eta_optimal(d, ALKALI)
         xi = xi_noisy(eta, d, ALKALI)
         print(f"{d:6.0f} {eta:9.4f} {xi:9.4f} {xi_db(xi):6.2f}")
 

@@ -16,9 +16,11 @@ SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG override built-in defaults
 
 Exit codes: 0 success; 2 configuration error (including a count key --
 grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
-at or above its minimum); 3 numeric-domain error
-(including phi^2 N above probe.PHI2N_WARN in fig3 and second-order sample);
-4 acceptance-gate failure (oracle-report).
+at or above its minimum, a materials file that cannot be read or holds an
+invalid preset, and an --out file that cannot be opened); 3 numeric-domain
+error (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order
+sample); 4 acceptance-gate failure (oracle-report, including a row whose
+relative error is not finite).
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
@@ -42,9 +44,10 @@ import warnings
 
 import numpy as np
 
-from .backaction import MeasurementOutcome, SingularPhase, most_probable_outcome
+from .backaction import MeasurementOutcome, most_probable_outcome
 from .dicke import EnsembleSpec
 from .oracle import (
+    DEFAULT_GRID,
     RNG_ALGORITHM,
     compare_report,
     conditional_xi_distribution,
@@ -72,7 +75,11 @@ _CHOICES = {"jx_mode": ("exact", "shortcut"), "method": ("exact", "second_order"
 
 
 class ConfigError(Exception):
-    """Invalid or unparsable configuration."""
+    """Invalid or unparsable configuration.  The message is kept on one line
+    (configparser's span several), since the CLI reports it as one."""
+
+    def __init__(self, message: str):
+        super().__init__(" ".join(message.splitlines()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +250,14 @@ def _render(columns: dict, metadata: dict, fmt: str):
 
 
 def _emit(chunks, out_path: str | None):
-    """Write the text pieces to ``out_path`` (or stdout) as they are made."""
+    """Write the text pieces to ``out_path`` (or stdout) as they are made;
+    an ``out_path`` that cannot be opened is a ConfigError."""
     if out_path:
-        with open(out_path, "w") as fh:
+        try:
+            fh = open(out_path, "w")
+        except OSError as exc:
+            raise ConfigError(f"cannot open --out {out_path}: {exc}") from exc
+        with fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -352,13 +364,23 @@ def _plan_columns(results, names) -> dict:
     return {c: [getattr(r, _PLAN_FIELDS.get(c, c)) for r in results] for c in names}
 
 
+def _materials(section: Section) -> dict:
+    """``load_materials`` of the section's ``materials`` file (the shipped
+    presets when it is empty); a file that cannot be read or holds invalid
+    presets is a ConfigError."""
+    path = section.get("materials", "", cast=str)
+    try:
+        return load_materials(path or None)
+    except (OSError, configparser.Error, ValueError) as exc:
+        raise ConfigError(f"config [{section._name}] materials = {path!r}: {exc}") from exc
+
+
 def cmd_table1(section: Section) -> tuple:
-    materials = section.get("materials", "", cast=str)
     names = (
         "material", "d", "eta_opt", "sigma_cm2", "n_atoms", "i0",
         "detuning_over_gamma", "xi_prime_sq", "xi_prime_db",
     )
-    columns = _plan_columns(table1(materials or None), names)
+    columns = _plan_columns(table1(_materials(section)), names)
     return columns, dict(section.used), EXIT_OK
 
 
@@ -366,24 +388,15 @@ def cmd_oracle_report(section: Section) -> tuple:
     """Oracle vs closed-form sweep; exit 4 when the gate fails."""
     gate = section.get("gate", 0.05)
     offsets_std = section.get_floats("offsets", (0.0,))
-    n_list = tuple(
-        section.count("n_atoms", n) for n in section.get_floats("n_atoms", (100, 400, 1000))
-    )
-    i0_list = section.get_floats("i0", (50.0, 100.0))
-    prod_list = section.get_floats("product", (0.5, 1.0, 4.0))
-    x_t_list = section.get_floats("x_t", (math.pi / 8, math.pi / 4, 3 * math.pi / 8))
+    grid = {key: section.get_floats(key, default) for key, default in DEFAULT_GRID.items()}
+    grid["n_atoms"] = tuple(section.count("n_atoms", n) for n in grid["n_atoms"])
     jx_mode = section.get("jx_mode", "exact", cast=str)
 
     offset_pairs = sorted({(0, 0)} | {
         (o, 0) for o in offsets_std if o
     } | {(0, o) for o in offsets_std if o})
     report = compare_report(
-        grid={
-            "n_atoms": n_list,
-            "i0": i0_list,
-            "product": prod_list,
-            "x_t": x_t_list,
-        },
+        grid=grid,
         offsets=offset_pairs,
         gate=gate,
         jx_mode=jx_mode,
@@ -425,8 +438,7 @@ def cmd_sample(section: Section, seed: int) -> tuple:
 
 def cmd_plan(section: Section) -> tuple:
     material = section.get("material", "eu", cast=str)
-    materials = section.get("materials", "", cast=str)
-    presets = load_materials(materials or None)
+    presets = _materials(section)
     if material not in presets:
         raise ConfigError(
             f"unknown material {material!r}; available: {sorted(presets)}"
@@ -506,7 +518,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SingularPhase, ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
@@ -518,7 +530,11 @@ def main(argv=None) -> int:
         meta["warnings"] = "; ".join(notes)
     meta.setdefault("command", args.command)
     meta.setdefault("format", args.format)
-    _emit(_render(columns, meta, args.format), args.out)
+    try:
+        _emit(_render(columns, meta, args.format), args.out)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

@@ -13,7 +13,6 @@ indexing with the integer 2m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
@@ -49,36 +48,28 @@ class EnsembleSpec:
 
 @dataclass
 class DickeWeights:
-    """Log-domain diagonal weights, plus optional off-diagonal factors.
+    """Log-domain diagonal weights and the off-diagonal band that gives <Jx>.
 
     ``log_w[i]`` is the unnormalized log-weight of Dicke index
-    m = -N/2 + i.  ``offdiag_logf``/``offdiag_sign``, when present, hold the
-    length-N band of factors F(m, m+1) multiplying the coherences needed for
-    <Jx>; for a bare CSS they are absent and F == 1 implicitly.
+    m = -N/2 + i.  ``offdiag_logf``/``offdiag_sign`` hold the length-N band
+    F(m, m+1), as log-magnitude and sign, relative to the binomial prior:
+    <m|rho|m+1> sqrt((N/2-m)(N/2+m+1)) = w_m (N/2-m) F(m, m+1), which the
+    prior itself satisfies with F == 1 (log F = 0, sign +1).  A Dicke state,
+    which has no coherences, has log F = -inf.
     """
 
     n_atoms: int
     log_w: np.ndarray
-    offdiag_logf: Optional[np.ndarray] = None
-    offdiag_sign: Optional[np.ndarray] = None
+    offdiag_logf: np.ndarray
+    offdiag_sign: np.ndarray
 
     def __post_init__(self):
-        self.log_w = np.asarray(self.log_w, dtype=float)
-        if self.log_w.shape != (self.n_atoms + 1,):
-            raise ValueError(
-                f"log_w must have length n_atoms + 1 = {self.n_atoms + 1}, "
-                f"got shape {self.log_w.shape}"
-            )
-        if self.offdiag_logf is not None:
-            self.offdiag_logf = np.asarray(self.offdiag_logf, dtype=float)
-            if self.offdiag_logf.shape != (self.n_atoms,):
-                raise ValueError("offdiag_logf must have length n_atoms")
-            if self.offdiag_sign is None:
-                self.offdiag_sign = np.ones(self.n_atoms)
-            else:
-                self.offdiag_sign = np.asarray(self.offdiag_sign, dtype=float)
-                if self.offdiag_sign.shape != (self.n_atoms,):
-                    raise ValueError("offdiag_sign must have length n_atoms")
+        n = self.n_atoms
+        for name, length in (("log_w", n + 1), ("offdiag_logf", n), ("offdiag_sign", n)):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (length,):
+                raise ValueError(f"{name} must have length {length}, got shape {value.shape}")
+            setattr(self, name, value)
 
     def normalized(self) -> np.ndarray:
         """Probability weights, exp-normalized with a max shift."""
@@ -120,17 +111,19 @@ def css_log_weights(n_atoms: int) -> DickeWeights:
     log_w = gammaln(n + 1) - log_k_fact - log_k_fact[::-1] - n * np.log(2.0)
     # enforce exact m -> -m symmetry against round-off
     log_w = 0.5 * (log_w + log_w[::-1])
-    return DickeWeights(n_atoms=n, log_w=log_w)
+    return DickeWeights(
+        n_atoms=n, log_w=log_w, offdiag_logf=np.zeros(n), offdiag_sign=np.ones(n)
+    )
 
 
 def collective_moments(weights: DickeWeights) -> SqueezingResult:
     """<Jz^2>, <Jx> and xi^2 from (possibly posterior-reweighted) weights.
 
     <Jz^2> = sum_m w_m m^2 / sum_m w_m.
-    <Jx>   = sum_m w_m (N/2 - m) F(m, m+1) / sum_m w_m, with F == 1 when no
-    off-diagonal factors are stored (the binomial ladder identity
-    c_m c_{m+1} sqrt((N/2-m)(N/2+m+1)) = c_m^2 (N/2-m) folds the raising and
-    lowering contributions into this single diagonal-weighted sum).
+    <Jx>   = sum_m w_m (N/2 - m) F(m, m+1) / sum_m w_m: the binomial ladder
+    identity c_m c_{m+1} sqrt((N/2-m)(N/2+m+1)) = c_m^2 (N/2-m) of the prior
+    folds the raising and lowering contributions into this single sum over
+    the band.
 
     A vanishing <Jx> yields xi_sq = +inf with the ``jx_zero`` flag set rather
     than an exception.
@@ -142,15 +135,11 @@ def collective_moments(weights: DickeWeights) -> SqueezingResult:
     norm = w.sum()
 
     jz2 = float(np.dot(w, m * m) / norm)
-
-    if weights.offdiag_logf is None:
-        jx = float(np.dot(w, n / 2.0 - m) / norm)
-    else:
-        contrib = (
-            np.exp(weights.log_w[:-1] + weights.offdiag_logf - shift)
-            * weights.offdiag_sign
-            * (n / 2.0 - m[:-1])
-        )
-        jx = float(contrib.sum() / norm)
+    contrib = (
+        np.exp(weights.log_w[:-1] + weights.offdiag_logf - shift)
+        * weights.offdiag_sign
+        * (n / 2.0 - m[:-1])
+    )
+    jx = float(contrib.sum() / norm)
 
     return SqueezingResult.from_moments(n, jz2, jx)

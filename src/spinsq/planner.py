@@ -121,7 +121,8 @@ def load_materials(path=None) -> dict:
 
     Returns {key: (MaterialSpec, GeometrySpec)}.  Without a path, the
     shipped presets (Eu and Pr in Y2SiO5) are used; user files follow the
-    same format.
+    same format.  A missing file raises FileNotFoundError, a section without
+    molar_mass, doping or absorption raises ValueError.
     """
     parser = configparser.ConfigParser()
     if path is None:
@@ -136,6 +137,9 @@ def load_materials(path=None) -> dict:
     presets = {}
     for key in parser.sections():
         sec = parser[key]
+        missing = [k for k in ("molar_mass", "doping", "absorption") if k not in sec]
+        if missing:
+            raise ValueError(f"material [{key}] has no {', '.join(missing)}")
         mat = MaterialSpec(
             name=sec.get("name", key),
             molar_mass=sec.getfloat("molar_mass"),
@@ -152,10 +156,13 @@ def load_materials(path=None) -> dict:
     return presets
 
 
-def table1(path=None) -> list[PlanResult]:
-    """Evaluate every preset at its optimal scattering probability."""
+def table1(presets: dict | None = None) -> list[PlanResult]:
+    """Evaluate every preset of ``load_materials`` (by default the shipped
+    ones) at its optimal scattering probability."""
+    if presets is None:
+        presets = load_materials()
     results = []
-    for key, (mat, geom) in load_materials(path).items():
+    for mat, geom in presets.values():
         eta = eta_optimal(geom.optical_depth, REIDC)
         results.append(plan(mat, geom, eta))
     return results

@@ -31,6 +31,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from spinsq import (
     ALKALI,
@@ -90,9 +91,17 @@ def test_criterion_1_planner_table():
 # ---------------------------------------------------------------------------
 
 def test_criterion_2_eta_optimal_closed_vs_numeric():
+    # the numeric reference is scipy's bounded minimizer, independent of
+    # eta_optimal's own search
     for d in (5.0, 10.0, 40.0, 100.0):
-        closed = eta_optimal(d, REIDC, method="closed")
-        numeric = eta_optimal(d, REIDC, method="numeric")
+        closed = eta_optimal(d, REIDC)
+        numeric = minimize_scalar(
+            lambda e: xi_noisy(e, d, REIDC),
+            bounds=(1e-9, 1 - 1e-9),
+            method="bounded",
+            options={"xatol": 1e-12},
+        ).x
+        assert abs(closed - (d - 2) / (3 * d)) < 1e-15
         assert abs(closed - numeric) < 1e-6
 
 
@@ -397,5 +406,5 @@ def test_criterion_8c_alkali_d75_minimum_near_0p4():
     give 0.23-0.31 at d = 75, also outside it.  If the paper's text gives
     a different alkali model, xi_noisy and the fig4 rows must change.
     """
-    eta = eta_optimal(75.0, ALKALI, method="numeric")
+    eta = eta_optimal(75.0, ALKALI)
     assert xi_noisy(eta, 75.0, ALKALI) == pytest.approx(0.4, abs=0.05)

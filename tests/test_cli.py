@@ -59,7 +59,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "exit_codes.txt")
-    assert len(outputs) == 16
+    assert len(outputs) == 18
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
@@ -163,16 +163,29 @@ def test_oracle_report_records_python_warnings_in_metadata(tmp_path, capsys):
 
 
 def test_oracle_report_gate_failure_exits_4(tmp_path, capsys):
-    # off-mean offsets at large phi sqrt(N) exceed the flat gate
-    cfg = write_config(
-        tmp_path,
-        "[oracle-report]\nn_atoms = 1000\ni0 = 50\nproduct = 4\n"
-        "x_t = 0.7853981633974483\noffsets = 0 1 -1\n",
-    )
-    code, out, _ = run_main(["--config", cfg, "oracle-report"], capsys)
-    assert code == EXIT_GATE
-    meta, _, _ = parse_csv(out)
-    assert meta["pass_flat_gate"] == "False"
+    for text, max_rel_err in (
+        # off-mean offsets at large phi sqrt(N) exceed the flat gate
+        (
+            "[oracle-report]\nn_atoms = 1000\ni0 = 50\nproduct = 4\n"
+            "x_t = 0.7853981633974483\noffsets = 0 1 -1\n",
+            None,
+        ),
+        # the -3 sigma row at N = 2 has xi_oracle = inf and rel_err = nan,
+        # which fails both gates
+        (
+            "[oracle-report]\nn_atoms = 2\ni0 = 4\nproduct = 4\n"
+            "x_t = 0.39269908169872414\noffsets = -3\n",
+            "inf",
+        ),
+    ):
+        cfg = write_config(tmp_path, text)
+        code, out, _ = run_main(["--config", cfg, "oracle-report"], capsys)
+        assert code == EXIT_GATE, text
+        meta, _, _ = parse_csv(out)
+        assert meta["pass_flat_gate"] == "False"
+        if max_rel_err:
+            assert meta["max_rel_err"] == max_rel_err
+            assert meta["pass_adaptive_gate"] == "False"
 
 
 def test_sample_deterministic_under_seed(tmp_path, capsys):
@@ -229,12 +242,50 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         ("fig4", "[fig4]\neta_points = -1\n"),
         ("oracle-report", "[oracle-report]\nn_atoms = 10.5\n"),
         ("oracle-report", "[oracle-report]\nn_atoms = 100 0\n"),
+        ("plan", "material = eu\n"),  # no section header
     ):
         cfg = write_config(tmp_path, text)
         code, out, err = run_main(["--config", cfg, command], capsys)
         assert code == EXIT_CONFIG, text
         assert out == ""
         assert "error:" in err and "numeric" not in err
+        assert len(err.splitlines()) == 1, err
+
+
+#: materials files the CLI cannot load: file name -> text
+BAD_MATERIALS = {
+    "no_header.txt": "molar_mass = 152.0\n",
+    "no_molar_mass.txt": "[eu]\ndoping = 1e-3\nabsorption = 2.0\n",
+    "bad_molar_mass.txt": "[eu]\nmolar_mass = abc\ndoping = 1e-3\nabsorption = 2.0\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, materials, out",
+    [
+        ("table1", "missing.txt", None),
+        ("table1", "no_header.txt", None),
+        ("table1", "no_molar_mass.txt", None),
+        ("plan", "bad_molar_mass.txt", None),
+        ("plan", None, "missing_dir/plan.csv"),
+    ],
+)
+def test_unloadable_materials_or_out_exits_2(tmp_path, capsys, command, materials, out):
+    # a materials file that cannot be read or holds an invalid preset, and an
+    # --out file that cannot be opened, are configuration errors: one
+    # "error:" line, no traceback, not exit 1 or 3
+    args = []
+    if materials:
+        for name, text in BAD_MATERIALS.items():
+            (tmp_path / name).write_text(text)
+        text = f"[{command}]\nmaterials = {tmp_path / materials}\n"
+        args += ["--config", write_config(tmp_path, text)]
+    if out:
+        args += ["--out", str(tmp_path / out)]
+    code, stdout, err = run_main(args + [command], capsys)
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 @pytest.mark.parametrize(

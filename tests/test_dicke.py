@@ -54,19 +54,41 @@ def test_collective_moments_css_n100():
     assert r.xi_sq == pytest.approx(1.0, rel=1e-12)
 
 
+def dicke_state(n_atoms, index):
+    """Weights of the Dicke state m = -N/2 + index: one diagonal entry, and a
+    band of -inf, since a Dicke state has no coherences."""
+    log_w = np.full(n_atoms + 1, -1e4)
+    log_w[index] = 0.0
+    return DickeWeights(
+        n_atoms=n_atoms,
+        log_w=log_w,
+        offdiag_logf=np.full(n_atoms, -np.inf),
+        offdiag_sign=np.ones(n_atoms),
+    )
+
+
 def test_collective_moments_delta_distribution():
-    # all weight at m = 0 for N = 4
-    log_w = np.full(5, -1e4)
-    log_w[2] = 0.0
-    r = collective_moments(DickeWeights(n_atoms=4, log_w=log_w))
+    # all weight at m = 0 for N = 4: <Jz^2> = <Jx> = 0, so xi^2 = 0/0
+    with np.errstate(invalid="ignore"):
+        r = collective_moments(dicke_state(4, 2))
     assert r.jz2 == pytest.approx(0.0, abs=1e-12)
+    assert r.jx == 0.0
+    assert r.jx_zero
+
+
+def test_dicke_state_m1_has_no_jx():
+    # |m = 1> of N = 4: <Jz^2> = 1 and no coherences, so <Jx> = 0 and xi^2 is
+    # the +inf sentinel (the ladder identity of the CSS would give <Jx> = 1)
+    r = collective_moments(dicke_state(4, 3))
+    assert r.jz2 == pytest.approx(1.0, rel=1e-12)
+    assert r.jx == 0.0
+    assert r.jx_zero
+    assert r.xi_sq == math.inf
 
 
 def test_jx_zero_sentinel():
     # all weight at the stretched state m = N/2, where (N/2 - m) kills <Jx>
-    log_w = np.full(5, -1e4)
-    log_w[-1] = 0.0
-    r = collective_moments(DickeWeights(n_atoms=4, log_w=log_w))
+    r = collective_moments(dicke_state(4, 4))
     assert r.jx_zero
     assert math.isinf(r.xi_sq)
 
@@ -103,7 +125,21 @@ def test_ensemble_spec_validation():
 
 
 def test_dicke_weights_shape_validation():
+    band = {"offdiag_logf": np.zeros(4), "offdiag_sign": np.ones(4)}
     with pytest.raises(ValueError):
-        DickeWeights(n_atoms=4, log_w=np.zeros(4))
+        DickeWeights(n_atoms=4, log_w=np.zeros(4), **band)
     with pytest.raises(ValueError):
-        DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(3))
+        DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(3), offdiag_sign=np.ones(4))
+    with pytest.raises(ValueError):
+        DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(4), offdiag_sign=np.ones(5))
+
+
+def test_dicke_weights_require_the_band():
+    # <Jx> needs the band; there is no default that would assume the CSS's
+    with pytest.raises(TypeError):
+        DickeWeights(n_atoms=4, log_w=np.zeros(5))
+    with pytest.raises(TypeError):
+        DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(4))
+    dw = css_log_weights(4)
+    assert np.array_equal(dw.offdiag_logf, np.zeros(4))
+    assert np.array_equal(dw.offdiag_sign, np.ones(4))

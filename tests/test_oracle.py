@@ -182,7 +182,6 @@ def test_conditional_xi_distribution_exact_frozen():
         ENS12, PROBE9, n_samples=60, seed=3, method="exact"
     )
     assert t.rows.shape == (60, 3)
-    assert t.method == "exact"
     assert t.quantiles[0.5] == pytest.approx(0.7657654326803325, rel=1e-10)
     assert t.quantiles[0.25] <= t.quantiles[0.5] <= t.quantiles[0.75]
 
@@ -221,6 +220,20 @@ def test_compare_report_adaptive_gate_on_axis_offsets():
     grid = {"n_atoms": (400,), "i0": (100.0,), "product": (1.0, 4.0)}
     rep = compare_report(grid=grid, gate=0.05)
     assert rep["pass_adaptive_gate"]
+
+
+def test_compare_report_fails_both_gates_on_a_non_finite_row():
+    # at N = 2 a -3 sigma outcome clamps I_alpha to 0, where the oracle's
+    # <Jx> vanishes: xi_oracle = inf and rel_err = nan, which must fail both
+    # gates rather than slip past max() and a "> bound" test
+    grid = {"n_atoms": (2,), "i0": (4.0,), "product": (4.0,), "x_t": (math.pi / 8,)}
+    rep = compare_report(grid=grid, offsets=((-3, 0),))
+    (row,) = rep["rows"]
+    assert row["xi_oracle"] == math.inf
+    assert math.isnan(row["rel_err"])
+    assert rep["max_rel_err"] == math.inf
+    assert not rep["pass_flat_gate"]
+    assert not rep["pass_adaptive_gate"]
 
 
 def test_oracle_vs_closed_form_tracks_most_probable_law():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from spinsq import (
     ALKALI,
@@ -129,32 +129,39 @@ def test_xi_noisy_models():
     assert xi_noisy(eta, d, ALKALI) == pytest.approx(
         1.0 / (1 + eta * d) + eta / (1 - eta) + eta / (1 - eta) ** 2, rel=1e-12
     )
-    # string model names are accepted
-    assert xi_noisy(eta, d, "reidc") == xi_noisy(eta, d, REIDC)
     with pytest.raises(ValueError):
         NoiseModel("other")
 
 
+def numeric_eta_optimal(d, model):
+    """Minimizer of xi_noisy on (0, 1) by scipy, independent of eta_optimal."""
+    return minimize_scalar(
+        lambda e: xi_noisy(e, d, model),
+        bounds=(1e-9, 1 - 1e-9),
+        method="bounded",
+        options={"xatol": 1e-12},
+    ).x
+
+
 def test_eta_optimal_closed_form_and_numeric_agree():
     for d in (10.0, 40.0, 100.0):
-        closed = eta_optimal(d, REIDC, method="closed")
+        closed = eta_optimal(d, REIDC)
         assert closed == pytest.approx((d - 2) / (3 * d), rel=1e-12)
-        numeric = eta_optimal(d, REIDC, method="numeric")
-        assert numeric == pytest.approx(closed, abs=1e-6)
+        assert numeric_eta_optimal(d, REIDC) == pytest.approx(closed, abs=1e-6)
     assert eta_optimal(10.0) == pytest.approx(4.0 / 15.0, rel=1e-12)
     assert eta_optimal(40.0) == pytest.approx(19.0 / 60.0, rel=1e-12)
 
 
 def test_eta_optimal_is_a_minimum():
     for d, model in [(10.0, REIDC), (40.0, REIDC), (75.0, ALKALI)]:
-        eta = eta_optimal(d, model, method="numeric")
+        eta = eta_optimal(d, model)
         f0 = xi_noisy(eta, d, model)
         for de in (-1e-3, 1e-3):
             assert xi_noisy(eta + de, d, model) >= f0 - 1e-12
 
 
 def test_eta_optimal_alkali_frozen_value():
-    eta = eta_optimal(75.0, ALKALI, method="numeric")
+    eta = eta_optimal(75.0, ALKALI)
     assert eta == pytest.approx(0.060964689917201324, abs=1e-8)
     assert xi_noisy(eta, 75.0, ALKALI) == pytest.approx(
         0.31351776040181956, rel=1e-10
@@ -175,13 +182,11 @@ def test_eta_optimal_alkali_frozen_value():
 def test_eta_optimal_validation():
     with pytest.raises(ValueError):
         eta_optimal(-1.0)
-    with pytest.raises(ValueError):
-        eta_optimal(1.5, REIDC, method="closed")  # closed form needs d > 2
-    with pytest.raises(ValueError):
-        eta_optimal(10.0, REIDC, method="bogus")
-    # below d = 2 the alkali xi'^2 rises from eta = 0: no interior minimum,
-    # so the search is clamped to the lower end
+    # below d = 2 both models' xi'^2 rise from eta = 0: no interior minimum,
+    # so the search (the reidc closed form needs d > 2) is clamped to the
+    # lower end
     assert eta_optimal(1.0, ALKALI) == 1e-9
+    assert eta_optimal(1.5, REIDC) == 1e-9
 
 
 def test_phi_from_eta_d():

@@ -9,8 +9,11 @@ file, seed 0 and that format.  It also gets ``fig3_101_exact.csv`` and
 get nudged) on a 101x101 outcome grid with ``jx_mode = exact``, and
 ``oracle_report_i0_1e4.csv`` and ``.json``: ``oracle-report`` at the oracle's
 I0 cap, I0 = 1e4 with N = 30 and 2000, on the mean outcome and +1 sigma on
-either mode, which takes the exact kernel to arguments near 1e9.
-``exit_codes.txt`` lists each run's exit code.
+either mode, which takes the exact kernel to arguments near 1e9, and
+``plan_d_1p5.csv`` and ``.json``: ``plan`` at optical depth 1.5, below the
+d > 2 of the closed-form optimal eta, so ``eta_optimal`` searches, clamps
+eta to 1e-9 and the row is flagged.  ``exit_codes.txt`` lists each run's
+exit code.
 
 The package is imported from SRC, by default the ``src/`` directory of the
 checkout this script sits in, and ``SPINSQ_*`` environment variables are
@@ -40,6 +43,7 @@ EXTRA_RUNS = {
         "oracle-report",
         "[oracle-report]\nn_atoms = 30 2000\ni0 = 10000\noffsets = 1\n",
     ),
+    "plan_d_1p5": ("plan", "[plan]\nd = 1.5\n"),
 }
 
 
