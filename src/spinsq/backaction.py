@@ -7,14 +7,16 @@ elements between Dicke indices m, m' factorize per mode as
     <M_g>_{m,m'} = e^{-I_g} e^{-(g_m^2 + g_m'^2)/2} S(I_g g_m g_m'),
     S(x) = sum_n x^n / (n!)^2,
 
-where g_m is the real envelope of the mode.  S is a Bessel function
-(DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0, as log i0e(z) + z with
-the exponentially scaled i0e (finite for all finite z, DLMF 10.40.1), and
-J_0(2 sqrt(-x)) for x < 0, whose sign is carried separately.  Each branch
-runs only on its own elements.
+where g_m is the real envelope of the mode: 2 sqrt(I0) cos(X_t - m phi)
+for alpha and 2 sqrt(I0) sin(X_t + m phi) for beta (``mode_amplitudes``).
+S is a Bessel function (DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0,
+as log i0e(z) + z with the exponentially scaled i0e (finite for all finite
+z, DLMF 10.40.1), and J_0(2 sqrt(-x)) for x < 0, whose sign is carried
+separately.  Each branch runs only on its own elements.
 
-The second-order path expands the log-kernel to quadratic order in m*phi,
-giving the coefficients (V, W, Y, Z) and lambda = -2Y - Z.
+The second-order path expands the log-kernel to quadratic order in m*phi.
+Its m-independent term cancels on normalization, so only the coefficients
+(W, Y, Z) and lambda = -2Y - Z are kept.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.special import i0e, j0
 
 from .dicke import DickeWeights, EnsembleSpec, css_log_weights, m_values
-from .probe import EPS_SING, ProbeConfig, _is_theta_pi, mode_amplitudes
+from .probe import EPS_SING, ProbeConfig, mode_amplitudes
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
@@ -55,9 +57,8 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class ExpansionCoeffs:
-    """Quadratic log-kernel coefficients V, W, Y, Z and lambda = -2Y - Z."""
+    """Quadratic log-kernel coefficients W, Y, Z and lambda = -2Y - Z."""
 
-    v: float
     w: float
     y: float
     z: float
@@ -81,11 +82,8 @@ def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCo
     At the most probable outcomes these give W = 0 and lambda = 4 I0.
     Elementwise over an outcome whose fields are arrays.  Raises
     SingularPhase when |cos x_t| or |sin x_t| falls below EPS_SING (both
-    appear in denominators), and ValueError for theta = 0, whose
-    two-cosine envelopes the expansion does not describe.
+    appear in denominators).
     """
-    if not _is_theta_pi(probe.theta):
-        raise ValueError("the second-order expansion requires theta = pi")
     i0, x = probe.i0, probe.x_t
     c, s = math.cos(x), math.sin(x)
     if abs(c) < EPS_SING:
@@ -98,13 +96,12 @@ def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCo
         )
     ra = np.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
     rb = np.sqrt(out.i_beta / i0) if i0 > 0 else 0.0
-    v = 4.0 * i0 * (ra * abs(c) + rb * abs(s) - 1.0)
     w = 2.0 * i0 * (
         ra * s * c / abs(c) + rb * c * s / abs(s) - 2.0 * math.sin(2.0 * x)
     )
     y = -0.5 * i0 * (ra * (1.0 + c * c) / abs(c) + rb * (1.0 + s * s) / abs(s))
     z = i0 * (ra * s * s / abs(c) + rb * c * c / abs(s))
-    return ExpansionCoeffs(v=v, w=w, y=y, z=z)
+    return ExpansionCoeffs(w=w, y=y, z=z)
 
 
 def _log_kernel(x):
@@ -168,7 +165,7 @@ def posterior_weights(
             raise ValueError(
                 f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}"
             )
-        a, b = mode_amplitudes(ens, probe, m, convention="full")
+        a, b = mode_amplitudes(ens, probe, m)
         # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
         # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
         log_k, sign = _log_povm_element(

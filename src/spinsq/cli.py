@@ -19,7 +19,8 @@ grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
 at or above its minimum, a materials file that cannot be read or holds an
 invalid preset, and an --out file that cannot be opened); 3 numeric-domain
 error (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order
-sample); 4 acceptance-gate failure (oracle-report, including a row whose
+sample, a non-finite x_t, and a plan whose N, I0 or detuning is not
+finite); 4 acceptance-gate failure (oracle-report, including a row whose
 relative error is not finite).
 
 Output is data only (no plotting).  Every default that participated in a
@@ -47,7 +48,9 @@ import numpy as np
 from .backaction import MeasurementOutcome, most_probable_outcome
 from .dicke import EnsembleSpec
 from .oracle import (
+    DEFAULT_GATE,
     DEFAULT_GRID,
+    DEFAULT_JX_MODE,
     RNG_ALGORITHM,
     compare_report,
     conditional_xi_distribution,
@@ -268,8 +271,9 @@ def _emit(chunks, out_path: str | None):
 # ---------------------------------------------------------------------------
 
 def _nudge_singular(x_t: float, nudges: list) -> float:
-    """Push x_t off the singular set {k pi/2} by 2 * EPS_SING if needed."""
-    if min(abs(math.cos(x_t)), abs(math.sin(x_t))) >= EPS_SING:
+    """Push x_t off the singular set {k pi/2} by 2 * EPS_SING if needed;
+    a non-finite x_t is returned as is, for ProbeConfig to refuse."""
+    if not math.isfinite(x_t) or min(abs(math.cos(x_t)), abs(math.sin(x_t))) >= EPS_SING:
         return x_t
     quadrant = round(x_t / (math.pi / 2.0))
     nudged = quadrant * (math.pi / 2.0) + 2.0 * EPS_SING
@@ -386,11 +390,11 @@ def cmd_table1(section: Section) -> tuple:
 
 def cmd_oracle_report(section: Section) -> tuple:
     """Oracle vs closed-form sweep; exit 4 when the gate fails."""
-    gate = section.get("gate", 0.05)
+    gate = section.get("gate", DEFAULT_GATE)
     offsets_std = section.get_floats("offsets", (0.0,))
     grid = {key: section.get_floats(key, default) for key, default in DEFAULT_GRID.items()}
     grid["n_atoms"] = tuple(section.count("n_atoms", n) for n in grid["n_atoms"])
-    jx_mode = section.get("jx_mode", "exact", cast=str)
+    jx_mode = section.get("jx_mode", DEFAULT_JX_MODE, cast=str)
 
     offset_pairs = sorted({(0, 0)} | {
         (o, 0) for o in offsets_std if o

@@ -73,7 +73,7 @@ def fock_posterior(
     """
     m = m_values(ens.n_atoms)
     c = np.sqrt(css_log_weights(ens.n_atoms).normalized())
-    a, b = mode_amplitudes(ens, probe, m, convention="full")
+    a, b = mode_amplitudes(ens, probe, m)
     rho = np.outer(c, c)
     bound = c * c  # diagonal of rho with each mode's dropped terms bounded above
     n = np.arange(1, cutoff + 1)
@@ -148,7 +148,7 @@ def sample_outcome(
     """
     rng = _as_rng(seed)
     m = rng.binomial(ens.n_atoms, 0.5, size=size) - ens.n_atoms / 2.0
-    a, b = mode_amplitudes(ens, probe, m, convention="full")
+    a, b = mode_amplitudes(ens, probe, m)
     return MeasurementOutcome(
         i_alpha=_sample_count(rng, a**2), i_beta=_sample_count(rng, b**2)
     )
@@ -213,12 +213,16 @@ DEFAULT_GRID = {
 #: outcome displacements, in units of the per-mode standard deviations
 DEFAULT_OFFSETS = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
+#: flat relative-error gate and <Jx> mode of compare_report
+DEFAULT_GATE = 0.05
+DEFAULT_JX_MODE = "exact"
+
 
 def compare_report(
     grid: dict | None = None,
     offsets=DEFAULT_OFFSETS,
-    gate: float = 0.05,
-    jx_mode: str = "exact",
+    gate: float = DEFAULT_GATE,
+    jx_mode: str = DEFAULT_JX_MODE,
 ) -> dict:
     """Sweep oracle vs closed-form xi^2 over a desk-scale grid.
 

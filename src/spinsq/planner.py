@@ -82,7 +82,8 @@ class PlanResult:
 
 
 def plan(mat: MaterialSpec, geom: GeometrySpec, eta: float) -> PlanResult:
-    """Run the full planning chain for one material at a given eta."""
+    """Run the full planning chain for one material at a given eta; raises
+    ValueError when N, I0 or the detuning comes out infinite or NaN."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     sigma = mat.absorption * mat.molar_mass / (
@@ -100,6 +101,10 @@ def plan(mat: MaterialSpec, geom: GeometrySpec, eta: float) -> PlanResult:
     )
     i0 = eta * sigma * n_atoms**2 / (2.0 * geom.mode_area)
     detuning = 2.0 * math.sqrt(2.0 * i0 * sigma / (eta * geom.mode_area))
+    results = (("n_atoms", n_atoms), ("i0", i0), ("detuning_over_gamma", detuning))
+    for field_name, v in results:
+        if not math.isfinite(v):
+            raise ValueError(f"{field_name} = {v} is not finite; check the geometry")
     xi_p = xi_noisy(eta, geom.optical_depth, REIDC)
     return PlanResult(
         name=mat.name,

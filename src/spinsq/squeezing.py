@@ -126,9 +126,8 @@ def xi_most_probable(eta: float, d: float) -> float:
 
 
 def xi_noisy(eta: float, d: float, model: NoiseModel = REIDC) -> float:
-    """Squeezing degraded by photon scattering, per the chosen model."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must be in [0, 1), got {eta}")
+    """Squeezing degraded by photon scattering, per the chosen model;
+    ``xi_most_probable`` checks eta and d."""
     base = xi_most_probable(eta, d)
     if model.kind == "reidc":
         return base / (1.0 - eta) ** 2

@@ -331,7 +331,7 @@ def test_criterion_7_identity_suite():
         b = float(rng.uniform(-2.0, 2.0))
         c = float(rng.uniform(-1.0, 1.0))
         lam = (a - 2.0 / 50) / 0.1**2
-        coef = ExpansionCoeffs(v=0.0, w=b / 0.2, y=c / 0.1**2, z=-2 * c / 0.1**2 - lam)
+        coef = ExpansionCoeffs(w=b / 0.2, y=c / 0.1**2, z=-2 * c / 0.1**2 - lam)
         r = closed_form_moments(ens, coef)
         lim = 40.0 / math.sqrt(a)
         f = lambda x, beta: math.exp(-a * x * x + beta * x)

@@ -24,8 +24,8 @@ ENS = EnsembleSpec(n_atoms=200, phi=0.005)
 
 def povm_log_weight(probe, out, ens, m, m_prime):
     """(log|<M_alpha>_{m,m'} <M_beta>_{m,m'}|, sign) with the exact kernel."""
-    am, bm = mode_amplitudes(ens, probe, m, convention="full")
-    ap, bp = mode_amplitudes(ens, probe, m_prime, convention="full")
+    am, bm = mode_amplitudes(ens, probe, m)
+    ap, bp = mode_amplitudes(ens, probe, m_prime)
     log_w, sign = _log_povm_element(out, am, bm, ap, bp)
     return float(log_w - (out.i_alpha + out.i_beta)), float(sign)
 
@@ -48,7 +48,6 @@ def test_coeffs_at_most_probable_outcome():
     # the defining property of the expansion: W = 0, lambda = 4 I0 at the means
     out = most_probable_outcome(PROBE)
     coef = expansion_coeffs(PROBE, out)
-    assert coef.v == pytest.approx(400.0, rel=1e-12)
     assert abs(coef.w) < 1e-10
     assert coef.y == pytest.approx(-300.0, rel=1e-12)
     assert coef.z == pytest.approx(200.0, rel=1e-12)
@@ -60,7 +59,6 @@ def test_coeffs_at_shifted_outcome_frozen():
     std_a = math.sqrt(4 * PROBE.i0 * math.cos(PROBE.x_t) ** 2)
     shifted = MeasurementOutcome(out.i_alpha + std_a, out.i_beta)
     coef = expansion_coeffs(PROBE, shifted)
-    assert coef.v == pytest.approx(418.23413510978594, rel=1e-12)
     assert coef.w == pytest.approx(3.776413030308401, rel=1e-12)
     assert coef.y == pytest.approx(-304.94959415101556, rel=1e-12)
     assert coef.z == pytest.approx(200.7821207471381, rel=1e-12)
@@ -68,10 +66,9 @@ def test_coeffs_at_shifted_outcome_frozen():
 
 
 def test_coeffs_at_dark_outcome():
-    # I_alpha = I_beta = 0: V = -4 I0, W = -4 I0 sin 2X, lambda = 0
+    # I_alpha = I_beta = 0: W = -4 I0 sin 2X, lambda = 0
     out = MeasurementOutcome(0.0, 0.0)
     coef = expansion_coeffs(PROBE, out)
-    assert coef.v == pytest.approx(-400.0, rel=1e-12)
     assert coef.w == pytest.approx(-400.0 * math.sin(math.pi / 4), rel=1e-12)
     assert coef.y == 0.0
     assert coef.z == 0.0
@@ -79,9 +76,9 @@ def test_coeffs_at_dark_outcome():
 
 
 def test_coeffs_match_finite_differences_of_exact_log_kernel():
-    # lambda, Y, V against numerical second derivatives of the exact
-    # log-kernel in m*phi; W carries a known O(1/sqrt(I0)) asymptotic error,
-    # so it only gets an absolute tolerance
+    # lambda and W against numerical derivatives of the exact log-kernel in
+    # m*phi; W carries a known O(1/sqrt(I0)) asymptotic error, so it only
+    # gets an absolute tolerance
     out = most_probable_outcome(PROBE)
     std_a = math.sqrt(4 * PROBE.i0 * math.cos(PROBE.x_t) ** 2)
     shifted = MeasurementOutcome(out.i_alpha + std_a, out.i_beta)
@@ -97,23 +94,8 @@ def test_coeffs_match_finite_differences_of_exact_log_kernel():
     f0, fp, fm_ = f(0.0), f(1.0), f(-1.0)
     lam_num = -(fp - 2 * f0 + fm_) / h**2 / 2.0  # diag factor -2 lam phi^2 m^2 /2
     w_num = (fp - fm_) / (4.0 * h)  # diag factor 2 W phi m
-    v_num = f0 + shifted.i_alpha + shifted.i_beta
     assert lam_num == pytest.approx(coef.lam, rel=0.01)
-    # the analytic V drops the (1/2) log(4 pi sqrt(x)) Bessel prefactors,
-    # an additive O(log I0) offset (about 7.5 here)
-    assert abs(v_num - coef.v) < 8.0
     assert abs(w_num - coef.w) < 1.0
-
-
-def test_closed_form_refuses_theta_zero():
-    # the expansion is derived for the cos/sin envelopes of theta = pi
-    probe0 = ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=0.0)
-    out = most_probable_outcome(probe0)
-    with pytest.raises(ValueError, match="theta"):
-        expansion_coeffs(probe0, out)
-    with pytest.raises(ValueError, match="theta"):
-        posterior_weights(ENS, probe0, out, method="second_order")
-    expansion_coeffs(ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=3 * math.pi), out)
 
 
 def test_singular_phase_raises():

@@ -315,6 +315,25 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
     assert "numeric error" in err
 
 
+@pytest.mark.parametrize(
+    "command, text, match",
+    [
+        # the error names x_t, not the sampler's Poisson mean that it spoils
+        ("sample", "[sample]\nx_t = nan\n", "x_t must be finite"),
+        ("fig3", "[fig3]\nx_t = 0.5 inf\n", "x_t must be finite"),
+        # N, I0 and the detuning come out infinite or NaN
+        ("plan", "[plan]\nmode_area = inf\n", "is not finite"),
+        ("plan", "[plan]\nmode_area = 1e300\n", "is not finite"),
+    ],
+)
+def test_non_finite_input_or_result_exits_3(tmp_path, capsys, command, text, match):
+    cfg = write_config(tmp_path, text)
+    code, out, err = run_main(["--config", cfg, command], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert "numeric error" in err and match in err
+
+
 def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):
     # phi^2 N = 100 >> 0.1: the closed form would print xi^2 ~ 1e46
     cfg = write_config(tmp_path, "[sample]\nphi = 0.5\nn_atoms = 400\n")

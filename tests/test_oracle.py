@@ -227,7 +227,8 @@ def test_compare_report_fails_both_gates_on_a_non_finite_row():
     # <Jx> vanishes: xi_oracle = inf and rel_err = nan, which must fail both
     # gates rather than slip past max() and a "> bound" test
     grid = {"n_atoms": (2,), "i0": (4.0,), "product": (4.0,), "x_t": (math.pi / 8,)}
-    rep = compare_report(grid=grid, offsets=((-3, 0),))
+    with pytest.warns(UserWarning, match="phi"):  # phi^2 N = 0.5
+        rep = compare_report(grid=grid, offsets=((-3, 0),))
     (row,) = rep["rows"]
     assert row["xi_oracle"] == math.inf
     assert math.isnan(row["rel_err"])

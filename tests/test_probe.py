@@ -21,28 +21,20 @@ PROBE = ProbeConfig(i0=100.0, x_t=math.pi / 8)
 def test_probe_config_validation_and_wrapping():
     with pytest.raises(ValueError):
         ProbeConfig(i0=-1.0)
+    # a NaN x_t would reach the closed form as xi^2 = NaN
+    for x_t in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="x_t"):
+            ProbeConfig(i0=100.0, x_t=x_t)
     p = ProbeConfig(i0=1.0, x_t=2 * math.pi + 0.3)
     assert p.x_t == pytest.approx(0.3, rel=1e-12)
 
 
-def test_probe_config_theta_only_zero_or_pi():
-    # any other theta used to get the theta = 0 envelopes without a word
-    for theta in (math.pi / 2, 1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="theta"):
-            ProbeConfig(i0=1.0, theta=theta)
-    for theta in (0.0, math.pi, 3 * math.pi):
-        ProbeConfig(i0=1.0, theta=theta)
-    p3 = ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=3 * math.pi)
-    assert mode_amplitudes(ENS, p3, 7.0) == mode_amplitudes(ENS, PROBE, 7.0)
-    # builds its own theta = 0 probe for the difference photocurrent
-    assert intensity_moments_exact(ENS, PROBE).var_diff > 0
-
-
 def test_mode_amplitudes_frozen_values():
-    a, b = mode_amplitudes(ENS, PROBE, 10.0, convention="full")
+    a, b = mode_amplitudes(ENS, PROBE, 10.0)
     assert a == pytest.approx(18.83702247424973, rel=1e-12)
     assert b == pytest.approx(8.567598185291391, rel=1e-12)
-    ah, bh = mode_amplitudes(ENS, PROBE, 10.0, convention="half")
+    # the half shift of the total and difference moments: m phi/2 at m = 10
+    ah, bh = mode_amplitudes(ENS, PROBE, 5.0)
     assert ah == pytest.approx(18.663138489259936, rel=1e-12)
     assert bh == pytest.approx(8.113168649452028, rel=1e-12)
 
@@ -53,25 +45,16 @@ def test_mode_amplitudes_m_zero_is_unshifted():
     assert b == pytest.approx(2 * 10 * math.sin(math.pi / 8), rel=1e-12)
 
 
-def test_mode_amplitudes_theta_zero_gives_two_cosines():
-    p0 = ProbeConfig(i0=100.0, x_t=math.pi / 8, theta=0.0)
-    a, b = p0, None
-    a, b = mode_amplitudes(ENS, p0, 7.0)
-    assert a == pytest.approx(20 * math.cos(math.pi / 8 - 7 * 0.005), rel=1e-12)
-    assert b == pytest.approx(20 * math.cos(math.pi / 8 + 7 * 0.005), rel=1e-12)
-
-
 def test_mode_amplitudes_rejects_out_of_range_m():
     with pytest.raises(ValueError):
         mode_amplitudes(ENS, PROBE, 150.0)
-    with pytest.raises(ValueError):
-        mode_amplitudes(ENS, PROBE, 0.0, convention="bogus")
 
 
 def test_half_convention_total_intensity_identity():
-    # |alpha_m|^2 + |beta_m|^2 = 4 I0 (1 + sin 2X_t sin m phi), exactly
+    # with the half shift m phi/2 of the total-intensity moments,
+    # |alpha|^2 + |beta|^2 = 4 I0 (1 + sin 2X_t sin m phi), exactly
     m = m_values(ENS.n_atoms)
-    a, b = mode_amplitudes(ENS, PROBE, m, convention="half")
+    a, b = mode_amplitudes(ENS, PROBE, m / 2)
     tot = a * a + b * b
     expected = 4 * PROBE.i0 * (1 + math.sin(2 * PROBE.x_t) * np.sin(m * ENS.phi))
     assert np.max(np.abs(tot - expected)) < 1e-9

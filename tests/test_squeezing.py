@@ -30,7 +30,7 @@ def test_gaussian_integrals_against_quadrature():
     # b = 2 W phi and Y phi^2 = c, then integrate by quadrature
     a, b, c, n, phi = 0.37, -1.2, 0.4, 50, 0.1
     lam = (a - 2.0 / n) / phi**2
-    coef = ExpansionCoeffs(v=0.0, w=b / (2 * phi), y=c / phi**2, z=-2 * c / phi**2 - lam)
+    coef = ExpansionCoeffs(w=b / (2 * phi), y=c / phi**2, z=-2 * c / phi**2 - lam)
     bp = b - lam * phi**2
     f = lambda x, beta: math.exp(-a * x * x + beta * x)
     norm = quad(lambda x: f(x, b), -60, 60)[0]
@@ -65,7 +65,7 @@ def test_closed_form_exact_jx_frozen_point():
 
 def test_closed_form_moments_jx_zero_sentinel():
     # a strongly positive W pushes the Gaussian <Jx> negative for tiny N
-    coef = ExpansionCoeffs(v=0.0, w=500.0, y=0.0, z=0.0)
+    coef = ExpansionCoeffs(w=500.0, y=0.0, z=0.0)
     ens = EnsembleSpec(n_atoms=4, phi=0.1)
     r = closed_form_moments(ens, coef, jx_mode="exact")
     assert r.jx_zero
@@ -97,17 +97,15 @@ def test_xi_closed_form_array_matches_scalar_rows(jx_mode):
 
 def test_closed_form_moments_broadcast_sentinel_and_overflow():
     ens = EnsembleSpec(n_atoms=4, phi=0.1)
-    coef = ExpansionCoeffs(
-        v=np.zeros(3), w=np.array([0.0, 500.0, 1.0]), y=np.zeros(3), z=np.zeros(3)
-    )
+    coef = ExpansionCoeffs(w=np.array([0.0, 500.0, 1.0]), y=np.zeros(3), z=np.zeros(3))
     r = closed_form_moments(ens, coef, jx_mode="exact")
     assert r.jx_zero.tolist() == [False, True, False]
     assert math.isinf(r.xi_sq[1]) and np.all(np.isfinite(r.xi_sq[[0, 2]]))
     for k in (0, 2):
-        scalar = closed_form_moments(ens, ExpansionCoeffs(0.0, float(coef.w[k]), 0.0, 0.0))
+        scalar = closed_form_moments(ens, ExpansionCoeffs(float(coef.w[k]), 0.0, 0.0))
         assert r.xi_sq[k] == scalar.xi_sq
     # e^{W phi} overflows: refused, never returned as inf
-    huge = ExpansionCoeffs(v=np.zeros(2), w=np.array([0.0, 1e4]), y=np.zeros(2), z=np.zeros(2))
+    huge = ExpansionCoeffs(w=np.array([0.0, 1e4]), y=np.zeros(2), z=np.zeros(2))
     with pytest.raises(FloatingPointError):
         closed_form_moments(EnsembleSpec(n_atoms=100, phi=1.0), huge, jx_mode="exact")
 
