@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e, j0
 
 from .dicke import DickeWeights, EnsembleSpec, css_log_weights, m_values
 from .probe import EPS_SING, ProbeConfig, mode_amplitudes
@@ -110,6 +109,8 @@ def _log_kernel(x):
     S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0, each
     evaluated only on its own elements; a scalar x gives numpy scalars.
     """
+    from scipy.special import i0e, j0  # local: only the exact paths pay for scipy
+
     x = np.asarray(x, dtype=float)
     z = 2.0 * np.sqrt(np.abs(x))
     neg = x < 0

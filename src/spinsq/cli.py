@@ -19,9 +19,9 @@ grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
 at or above its minimum, a materials file that cannot be read or holds an
 invalid preset, and an --out file that cannot be opened); 3 numeric-domain
 error (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order
-sample, a non-finite x_t, and a plan whose N, I0 or detuning is not
-finite); 4 acceptance-gate failure (oracle-report, including a row whose
-relative error is not finite).
+sample, a non-finite x_t or optical depth, and a plan whose N, I0 or
+detuning is not finite); 4 acceptance-gate failure (oracle-report,
+including a row whose relative error is not finite).
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 # Sanity cap on N*phi: beyond this the second-order machinery downstream is
 # meaningless and almost certainly indicates a unit error in the input.
@@ -107,6 +106,8 @@ def css_log_weights(n_atoms: int) -> DickeWeights:
     if n_atoms < 1 or int(n_atoms) != n_atoms:
         raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
     n = int(n_atoms)
+    from scipy.special import gammaln  # local: only the exact paths pay for scipy
+
     log_k_fact = gammaln(np.arange(1, n + 2))  # log k! for k = 0 .. n
     log_w = gammaln(n + 1) - log_k_fact - log_k_fact[::-1] - n * np.log(2.0)
     # enforce exact m -> -m symmetry against round-off

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from scipy.constants import Avogadro
-
 from .squeezing import REIDC, eta_optimal, xi_db, xi_noisy
+
+#: Avogadro constant, 1/mol: the exact SI value (scipy.constants.Avogadro)
+AVOGADRO = 6.02214076e23
 
 #: default optical mode area: pi * (100 um)^2, in cm^2
 DEFAULT_MODE_AREA = math.pi * 0.01**2
@@ -87,7 +88,7 @@ def plan(mat: MaterialSpec, geom: GeometrySpec, eta: float) -> PlanResult:
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     sigma = mat.absorption * mat.molar_mass / (
-        mat.host_density * mat.doping * Avogadro * mat.usable_ratio
+        mat.host_density * mat.doping * AVOGADRO * mat.usable_ratio
     )
     length = geom.optical_depth / mat.absorption
     n_atoms = (
@@ -95,7 +96,7 @@ def plan(mat: MaterialSpec, geom: GeometrySpec, eta: float) -> PlanResult:
         * mat.doping
         * geom.mode_area
         * length
-        * Avogadro
+        * AVOGADRO
         * mat.usable_ratio
         / mat.molar_mass
     )

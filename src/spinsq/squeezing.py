@@ -19,7 +19,8 @@ xi'^2 = xi^2 / (1-eta)^2, minimized over eta at (d-2)/(3d) when d > 2; for
 alkali vapors xi'^2 = xi^2 + eta/(1-eta) + eta/(1-eta)^2.  ``eta_optimal``
 returns that closed form where it holds and otherwise searches with the
 module's own golden-section minimizer: importing scipy.optimize instead
-would add ~21 MiB of peak memory and ~0.3 s to importing the CLI.
+would take importing the CLI, which loads no scipy module, from ~0.24 s and
+29 MiB peak memory to ~0.73 s and 78 MiB.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ def xi_most_probable(eta: float, d: float) -> float:
     """xi^2 = 1/(1 + eta d) at the most probable outcomes."""
     if not 0.0 <= eta < 1.0:
         raise ValueError(f"eta must be in [0, 1), got {eta}")
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
+    if not 0.0 <= d < math.inf:
+        raise ValueError(f"d must be finite and >= 0, got {d}")
     return 1.0 / (1.0 + eta * d)
 
 
@@ -161,8 +162,8 @@ def eta_optimal(d: float, model: NoiseModel = REIDC) -> float:
     that ends within 1e-6 of either end has found no interior minimum and
     returns that end.
     """
-    if d <= 0:
-        raise ValueError(f"d must be > 0, got {d}")
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"d must be finite and > 0, got {d}")
     if model.kind == "reidc" and d > 2:
         return (d - 2.0) / (3.0 * d)
 
@@ -177,13 +178,16 @@ def eta_optimal(d: float, model: NoiseModel = REIDC) -> float:
 
 def phi_from_eta_d(eta: float, d: float, n_atoms: float, i0: float) -> float:
     """Phase shift per atom: phi = sqrt(eta d / (2 N I0))."""
-    if eta <= 0 or d <= 0 or n_atoms <= 0 or i0 <= 0:
-        raise ValueError("all arguments must be > 0")
+    if not all(0.0 < v < math.inf for v in (eta, d, n_atoms, i0)):
+        raise ValueError(
+            f"all arguments must be finite and > 0, got {eta}, {d}, {n_atoms}, {i0}"
+        )
     return math.sqrt(eta * d / (2.0 * n_atoms * i0))
 
 
 def xi_db(xi_sq: float) -> float:
     """Squeezing in decibels: -10 log10(xi^2)."""
-    if xi_sq <= 0:
+    # NaN fails the comparison
+    if not xi_sq > 0:
         raise ValueError(f"xi_sq must be > 0, got {xi_sq}")
     return -10.0 * math.log10(xi_sq)

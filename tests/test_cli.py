@@ -51,6 +51,35 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
+#: run in a fresh interpreter: the default non-oracle subcommands load no
+#: scipy module, and oracle-report, an exact path, loads scipy.special
+SCIPY_GUARD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+from spinsq import cli
+assert not scipy_modules(), ("import spinsq.cli", scipy_modules())
+for command in ("fig3", "fig4", "table1", "plan", "sample"):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command]) == 0, command
+    assert not scipy_modules(), (command, scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["oracle-report"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_exact_paths_import_scipy():
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_GUARD, str(src)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_outputs_tool_writes_every_output(tmp_path):
     # tools/cli_outputs.py writes the files that a before/after diff compares
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
@@ -324,6 +353,12 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
         # N, I0 and the detuning come out infinite or NaN
         ("plan", "[plan]\nmode_area = inf\n", "is not finite"),
         ("plan", "[plan]\nmode_area = 1e300\n", "is not finite"),
+        # a non-finite optical depth in any fig4 curve list
+        *(
+            ("fig4", f"[fig4]\n{key} = 10 {value}\n", "d must be finite")
+            for key in ("reidc_d", "alkali_d", "grid_d")
+            for value in ("nan", "inf")
+        ),
     ],
 )
 def test_non_finite_input_or_result_exits_3(tmp_path, capsys, command, text, match):

@@ -9,7 +9,14 @@ from spinsq import (
     plan,
     table1,
 )
-from spinsq.planner import DEFAULT_MODE_AREA
+from spinsq.planner import AVOGADRO, DEFAULT_MODE_AREA
+
+
+def test_avogadro_literal_is_scipys_value():
+    # the planner carries the constant itself, so importing it loads no scipy
+    from scipy.constants import Avogadro
+
+    assert AVOGADRO == Avogadro
 
 
 def test_default_presets_load():

@@ -117,6 +117,11 @@ def test_xi_most_probable():
         xi_most_probable(1.0, 40.0)
     with pytest.raises(ValueError):
         xi_most_probable(0.5, -1.0)
+    for d in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="d must be finite"):
+            xi_most_probable(0.5, d)
+        with pytest.raises(ValueError, match="d must be finite"):
+            xi_noisy(0.5, d, ALKALI)
 
 
 def test_xi_noisy_models():
@@ -180,6 +185,11 @@ def test_eta_optimal_alkali_frozen_value():
 def test_eta_optimal_validation():
     with pytest.raises(ValueError):
         eta_optimal(-1.0)
+    # NaN had given 1 - 1e-9 and inf NaN
+    for d in (math.nan, math.inf):
+        for model in (REIDC, ALKALI):
+            with pytest.raises(ValueError, match="d must be finite"):
+                eta_optimal(d, model)
     # below d = 2 both models' xi'^2 rise from eta = 0: no interior minimum,
     # so the search (the reidc closed form needs d > 2) is clamped to the
     # lower end
@@ -196,6 +206,12 @@ def test_phi_from_eta_d():
     assert 2 * 1e4 * 1e3 * phi * phi == pytest.approx(2.5, rel=1e-12)
     with pytest.raises(ValueError):
         phi_from_eta_d(0.0, 10.0, 1e4, 1e3)
+    good = (0.25, 10.0, 1e4, 1e3)
+    for k in range(4):
+        for bad in (math.nan, math.inf):
+            args = good[:k] + (bad,) + good[k + 1:]
+            with pytest.raises(ValueError, match="finite"):
+                phi_from_eta_d(*args)
 
 
 def test_xi_db():
@@ -204,3 +220,5 @@ def test_xi_db():
     assert xi_db(0.1) == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ValueError):
         xi_db(0.0)
+    with pytest.raises(ValueError):
+        xi_db(math.nan)
