@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DickeWeights, EnsembleSpec, css_log_weights, m_values
-from .probe import EPS_SING, ProbeConfig, mode_amplitudes
+from .probe import EPS_SING, ProbeConfig, intensity_moments_approx, mode_amplitudes
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
@@ -72,6 +72,22 @@ def most_probable_outcome(probe: ProbeConfig) -> MeasurementOutcome:
     return MeasurementOutcome(
         i_alpha=4.0 * probe.i0 * math.cos(probe.x_t) ** 2,
         i_beta=4.0 * probe.i0 * math.sin(probe.x_t) ** 2,
+    )
+
+
+def offset_outcomes(
+    ens: EnsembleSpec, probe: ProbeConfig, offsets_alpha, offsets_beta
+) -> MeasurementOutcome:
+    """Outcomes at the per-mode means displaced by the given multiples of the
+    per-mode standard deviations of ``intensity_moments_approx``, clamped
+    at 0; elementwise over the (equal-shape) offset arrays of the two modes."""
+    mean = most_probable_outcome(probe)
+    mom = intensity_moments_approx(ens, probe)
+    sa = math.sqrt(max(mom.var_alpha, 0.0))
+    sb = math.sqrt(max(mom.var_beta, 0.0))
+    return MeasurementOutcome(
+        i_alpha=np.maximum(mean.i_alpha + np.asarray(offsets_alpha) * sa, 0.0),
+        i_beta=np.maximum(mean.i_beta + np.asarray(offsets_beta) * sb, 0.0),
     )
 
 
@@ -131,12 +147,17 @@ def _log_povm_element(out: MeasurementOutcome, a_m, b_m, a_p, b_p):
     """Signed log of <M_alpha>_{m,m'} <M_beta>_{m,m'} / e^{-(I_alpha + I_beta)}.
 
     (a_m, b_m) and (a_p, b_p) are the mode envelopes at m and m' (scalars or
-    equal-shape arrays).  Exactly symmetric under m <-> m'.
+    equal-shape arrays); outcome fields that are 1-D arrays add a leading
+    outcome axis.  One ``_log_kernel`` call covers both modes.  Exactly
+    symmetric under m <-> m'.
     """
-    log_a, sign_a = _log_kernel(out.i_alpha * (a_m * a_p))
-    log_b, sign_b = _log_kernel(out.i_beta * (b_m * b_p))
+    log_s, sign = _log_kernel(
+        np.stack(
+            (np.multiply.outer(out.i_alpha, a_m * a_p), np.multiply.outer(out.i_beta, b_m * b_p))
+        )
+    )
     envelopes = (a_m * a_m + a_p * a_p) + (b_m * b_m + b_p * b_p)
-    return -0.5 * envelopes + log_a + log_b, sign_a * sign_b
+    return -0.5 * envelopes + log_s[0] + log_s[1], sign[0] * sign[1]
 
 
 def posterior_weights(
@@ -153,6 +174,10 @@ def posterior_weights(
     2 W phi m - lambda phi^2 m^2.  In both cases ``offdiag_logf`` holds the
     log-ratio F(m, m+1) = K(m, m+1) / K(m, m) needed for <Jx>, with signs
     carried separately.
+
+    Outcome fields that are 1-D arrays of k outcomes give one row of
+    weights per outcome, each equal to that outcome's scalar call; the
+    prior, the m ladder and the mode envelopes are built once per call.
     """
     prior = css_log_weights(ens.n_atoms)
     m = m_values(ens.n_atoms)
@@ -173,27 +198,26 @@ def posterior_weights(
             out, np.concatenate((a, a[:-1])), np.concatenate((b, b[:-1])),
             np.concatenate((a, a[1:])), np.concatenate((b, b[1:])),
         )
-        diag_log = log_k[: a.size]
+        diag_log = log_k[..., : a.size]
         return DickeWeights(
             n_atoms=ens.n_atoms,
             log_w=prior.log_w + diag_log,
-            offdiag_logf=log_k[a.size :] - diag_log[:-1],
-            offdiag_sign=sign[a.size :],
+            offdiag_logf=log_k[..., a.size :] - diag_log[..., :-1],
+            offdiag_sign=sign[..., a.size :],
         )
 
     if method == "second_order":
         coef = expansion_coeffs(probe, out)
         phi = ens.phi
-        lam = coef.lam
-        log_w = prior.log_w + 2.0 * coef.w * phi * m - lam * phi * phi * m * m
-        offdiag_logf = (
-            coef.w * phi + coef.y * phi * phi - lam * phi * phi * m[:-1]
-        )
+        # one row per outcome: the coefficients run down a trailing unit axis
+        w, y, lam = (np.expand_dims(v, -1) for v in (coef.w, coef.y, coef.lam))
+        log_w = prior.log_w + 2.0 * w * phi * m - lam * phi * phi * m * m
+        offdiag_logf = w * phi + y * phi * phi - lam * phi * phi * m[:-1]
         return DickeWeights(
             n_atoms=ens.n_atoms,
             log_w=log_w,
             offdiag_logf=offdiag_logf,
-            offdiag_sign=np.ones(ens.n_atoms),
+            offdiag_sign=np.ones(offdiag_logf.shape),
         )
 
     raise ValueError(f"unknown method {method!r}")

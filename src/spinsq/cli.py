@@ -14,7 +14,8 @@ Options: --config PATH (INI file, one section per subcommand), --out PATH,
 SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG override built-in defaults
 (command-line flags win over the environment).
 
-Exit codes: 0 success; 2 configuration error (including a count key --
+Exit codes: 0 success; 2 configuration error (including a key in the
+subcommand's own section that it does not read, a count key --
 grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
 at or above its minimum, a materials file that cannot be read or holds an
 invalid preset, and an --out file that cannot be opened); 3 numeric-domain
@@ -45,7 +46,7 @@ import warnings
 
 import numpy as np
 
-from .backaction import MeasurementOutcome, most_probable_outcome
+from .backaction import MeasurementOutcome, offset_outcomes
 from .dicke import EnsembleSpec
 from .oracle import (
     DEFAULT_GATE,
@@ -56,7 +57,7 @@ from .oracle import (
     conditional_xi_distribution,
 )
 from .planner import GeometrySpec, load_materials, plan, table1
-from .probe import EPS_SING, ProbeConfig, check_phi2n, intensity_moments_approx
+from .probe import EPS_SING, ProbeConfig, check_phi2n
 from .squeezing import (
     ALKALI,
     REIDC,
@@ -108,6 +109,17 @@ class Section:
         self._sec = parser[name] if parser.has_section(name) else {}
         self._name = name
         self.used: dict = {}
+        # the section's own keys; [DEFAULT] keys reach every section and are exempt
+        self._own = [key for key in self._sec if key not in parser.defaults()]
+
+    def check_all_read(self):
+        """Raise ConfigError naming the section's own keys that were never read."""
+        unread = [key for key in self._own if key not in self.used]
+        if unread:
+            raise ConfigError(
+                f"config [{self._name}]: unknown key(s) {', '.join(unread)} "
+                f"(keys read: {', '.join(self.used)})"
+            )
 
     def get(self, key: str, default, cast=float):
         raw = self._sec.get(key) if self._sec else None
@@ -309,15 +321,11 @@ def cmd_fig3(section: Section) -> tuple:
     for k, x_t_raw in enumerate(x_t_list):
         x_t = _nudge_singular(x_t_raw, nudges)
         probe = ProbeConfig(i0=i0, x_t=x_t)
-        mean = most_probable_outcome(probe)
-        mom = intensity_moments_approx(ens, probe)
-        sa = math.sqrt(max(mom.var_alpha, 0.0))
-        sb = math.sqrt(max(mom.var_beta, 0.0))
+        axes = offset_outcomes(ens, probe, offsets, offsets)
         # i_alpha steps along the outer grid axis, i_beta along the inner one
-        i_alpha = np.maximum(mean.i_alpha + offsets * sa, 0.0)
-        i_beta = np.maximum(mean.i_beta + offsets * sb, 0.0)
         out = MeasurementOutcome(
-            i_alpha=np.repeat(i_alpha, grid_points), i_beta=np.tile(i_beta, grid_points)
+            i_alpha=np.repeat(axes.i_alpha, grid_points),
+            i_beta=np.tile(axes.i_beta, grid_points),
         )
         rows = slice(k * per_phase, (k + 1) * per_phase)
         columns["x_t"][rows] = x_t
@@ -519,6 +527,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             columns, meta, code = _COMMANDS[args.command](section, args)
+            section.check_all_read()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -55,6 +55,9 @@ class DickeWeights:
     <m|rho|m+1> sqrt((N/2-m)(N/2+m+1)) = w_m (N/2-m) F(m, m+1), which the
     prior itself satisfies with F == 1 (log F = 0, sign +1).  A Dicke state,
     which has no coherences, has log F = -inf.
+
+    The arrays may carry one leading outcome axis, one row per outcome
+    (shapes (k, N+1) and (k, N)); any other shape is refused.
     """
 
     n_atoms: int
@@ -64,17 +67,20 @@ class DickeWeights:
 
     def __post_init__(self):
         n = self.n_atoms
+        rows = np.shape(self.log_w)[:1] if np.ndim(self.log_w) == 2 else ()
         for name, length in (("log_w", n + 1), ("offdiag_logf", n), ("offdiag_sign", n)):
             value = np.asarray(getattr(self, name), dtype=float)
-            if value.shape != (length,):
-                raise ValueError(f"{name} must have length {length}, got shape {value.shape}")
+            if value.shape != rows + (length,):
+                raise ValueError(
+                    f"{name} must have shape {rows + (length,)}, got {value.shape}"
+                )
             setattr(self, name, value)
 
     def normalized(self) -> np.ndarray:
-        """Probability weights, exp-normalized with a max shift."""
-        shift = self.log_w.max()
+        """Probability weights, exp-normalized with a max shift, per row."""
+        shift = self.log_w.max(axis=-1, keepdims=True)
         w = np.exp(self.log_w - shift)
-        return w / w.sum()
+        return w / w.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)

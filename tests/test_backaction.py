@@ -214,6 +214,27 @@ def test_posterior_exact_small_mean_at_most_probable_outcome():
         assert abs(mean) <= 0.01 * math.sqrt(n)
 
 
+@pytest.mark.parametrize("method", ["exact", "second_order"])
+@pytest.mark.parametrize("x_t", [math.pi / 8, math.pi / 2 - 0.01])
+def test_posterior_rows_equal_scalar_calls(method, x_t):
+    # one call over an outcome array gives, row by row, the bits of the
+    # scalar calls; near X_t = pi/2 the alpha envelope changes sign across
+    # the ladder, so the exact band takes the j0 branch
+    ens = EnsembleSpec(n_atoms=100, phi=0.01)
+    probe = ProbeConfig(i0=50.0, x_t=x_t)
+    a, _ = mode_amplitudes(ens, probe, m_values(100))
+    assert bool((a[:-1] * a[1:] < 0).any()) == (x_t > 1.0)
+    i_alpha, i_beta = [0.0, 3.0, 150.0, 20.5], [200.0, 0.0, 190.0, 7.25]
+    out = MeasurementOutcome(np.array(i_alpha), np.array(i_beta))
+    rows = posterior_weights(ens, probe, out, method)
+    assert rows.log_w.shape == (4, 101)
+    for j, (i_a, i_b) in enumerate(zip(i_alpha, i_beta)):
+        one = posterior_weights(ens, probe, MeasurementOutcome(i_a, i_b), method)
+        for name in ("log_w", "offdiag_logf", "offdiag_sign"):
+            assert getattr(rows, name)[j].tobytes() == getattr(one, name).tobytes(), name
+        assert rows.normalized()[j].tobytes() == one.normalized().tobytes()
+
+
 def test_posterior_rotation_symmetry():
     # swapping X_t -> pi/2 - X_t together with the two outcomes leaves xi^2
     # invariant (the two probe pairs trade roles)

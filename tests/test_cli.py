@@ -88,7 +88,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "exit_codes.txt")
-    assert len(outputs) == 18
+    assert len(outputs) == 20
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
@@ -272,6 +272,8 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         ("oracle-report", "[oracle-report]\nn_atoms = 10.5\n"),
         ("oracle-report", "[oracle-report]\nn_atoms = 100 0\n"),
         ("plan", "material = eu\n"),  # no section header
+        ("sample", "[sample]\nd = 1\n"),  # a key that sample does not read
+        ("fig3", "[fig3]\ngird_points = 5\n"),  # a typo
     ):
         cfg = write_config(tmp_path, text)
         code, out, err = run_main(["--config", cfg, command], capsys)
@@ -279,6 +281,25 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         assert out == ""
         assert "error:" in err and "numeric" not in err
         assert len(err.splitlines()) == 1, err
+
+
+def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):
+    # a key of the subcommand's own section that it never reads would be
+    # ignored, and missing from the metadata; [DEFAULT] keys reach every
+    # section, so they are exempt
+    for command, text, key in (
+        ("sample", "[sample]\nn_samples = 5\nd = nan\n", "d"),
+        ("fig3", "[fig3]\ngird_points = 5\n", "gird_points"),
+    ):
+        cfg = write_config(tmp_path, text)
+        code, out, err = run_main(["--config", cfg, command], capsys)
+        assert code == EXIT_CONFIG, text
+        assert out == ""
+        assert f"[{command}]: unknown key(s) {key} " in err
+    cfg = write_config(tmp_path, "[DEFAULT]\nd = nan\n[sample]\nn_samples = 5\n")
+    code, out, _ = run_main(["--config", cfg, "sample"], capsys)
+    assert code == EXIT_OK
+    assert "# n_samples = 5.0" in out and "# d =" not in out
 
 
 #: materials files the CLI cannot load: file name -> text

@@ -132,6 +132,13 @@ def test_dicke_weights_shape_validation():
         DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(3), offdiag_sign=np.ones(4))
     with pytest.raises(ValueError):
         DickeWeights(n_atoms=4, log_w=np.zeros(5), offdiag_logf=np.zeros(4), offdiag_sign=np.ones(5))
+    # one leading outcome axis, shared by all three arrays, and no more
+    rows = {k: np.tile(v, (3, 1)) for k, v in band.items()}
+    assert DickeWeights(n_atoms=4, log_w=np.zeros((3, 5)), **rows).normalized().shape == (3, 5)
+    with pytest.raises(ValueError):
+        DickeWeights(n_atoms=4, log_w=np.zeros((3, 5)), **band)
+    with pytest.raises(ValueError):
+        DickeWeights(n_atoms=4, log_w=np.zeros((2, 3, 5)), **{k: v[None] for k, v in rows.items()})
 
 
 def test_dicke_weights_require_the_band():

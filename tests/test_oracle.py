@@ -19,6 +19,7 @@ from spinsq import (
     xi_closed_form,
     xi_most_probable,
 )
+from spinsq.oracle import ORACLE_BLOCK
 
 ENS12 = EnsembleSpec(n_atoms=12, phi=0.05)
 PROBE9 = ProbeConfig(i0=9.0, x_t=math.pi / 4)
@@ -174,6 +175,37 @@ def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():
         for a, b in t.rows[:, :2].tolist()
     ]
     np.testing.assert_array_equal(t.rows[:, 2], expected)
+
+
+def test_exact_sampler_rows_are_oracle_xi_of_their_outcomes():
+    # each row holds the bits of a scalar oracle_xi call on its own outcome;
+    # at N = 400 the 300 rows span several oracle_xi blocks
+    ens = EnsembleSpec(n_atoms=400, phi=7.07e-3)
+    probe = ProbeConfig(i0=100.0, x_t=0.7)
+    assert 300 > 3 * (ORACLE_BLOCK // (2 * 400 + 1))
+    t = conditional_xi_distribution(ens, probe, n_samples=300, seed=4, method="exact")
+    expected = [
+        oracle_xi(ens, probe, MeasurementOutcome(a, b)).xi_sq for a, b in t.rows[:, :2].tolist()
+    ]
+    assert t.rows[:, 2].tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize(
+    "ens, probe, i_alpha, i_beta",
+    [
+        (ENS12, PROBE9, [18.0, 0.0, 25.5, 3.0], [18.0, 40.0, 0.0, 11.0]),
+        # I_alpha = 0 at N = 2 leaves <Jx> <= 0: the jx_zero sentinel
+        (EnsembleSpec(n_atoms=2, phi=0.5), ProbeConfig(i0=4.0, x_t=math.pi / 8),
+         [0.0, 13.0], [3.0, 3.0]),
+    ],
+)
+def test_oracle_xi_on_an_outcome_array_equals_the_loop(ens, probe, i_alpha, i_beta):
+    r = oracle_xi(ens, probe, MeasurementOutcome(np.array(i_alpha), np.array(i_beta)))
+    loop = [oracle_xi(ens, probe, MeasurementOutcome(a, b)) for a, b in zip(i_alpha, i_beta)]
+    for field in ("jz2", "jx", "xi_sq", "jx_zero"):
+        expected = np.array([getattr(one, field) for one in loop])
+        assert getattr(r, field).tobytes() == expected.tobytes(), field
+    assert r.jx_zero.any() == (ens.n_atoms == 2)
 
 
 def test_conditional_xi_distribution_exact_frozen():
