@@ -10,19 +10,20 @@ sample         Monte Carlo outcome sampling with conditional xi^2
 plan           planning chain for one material
 
 Options: --config PATH (INI file, one section per subcommand), --out PATH,
---seed U64, --format {csv,json}.  Environment variables SPINSQ_SEED,
-SPINSQ_FORMAT, SPINSQ_OUT, SPINSQ_CONFIG override built-in defaults
-(command-line flags win over the environment).
+--seed U64 (default 0), --format {csv,json} (default csv).  The flags are
+the only source of these settings; no environment variable is read.
 
 Exit codes: 0 success; 2 configuration error (including a key in the
 subcommand's own section that it does not read, a count key --
 grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
 at or above its minimum, a materials file that cannot be read or holds an
-invalid preset, and an --out file that cannot be opened); 3 numeric-domain
+invalid preset -- an unknown key, or a value that is not finite and > 0 --
+and an --out file that cannot be opened); 3 numeric-domain
 error (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order
 sample, a non-finite x_t or optical depth, and a plan whose N, I0 or
-detuning is not finite); 4 acceptance-gate failure (oracle-report,
-including a row whose relative error is not finite).
+detuning is not finite); 4 acceptance-gate failure (oracle-report's flat
+gate, oracle.GATE, which no setting moves, including a row whose relative
+error is not finite).
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
@@ -40,7 +41,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -49,9 +49,8 @@ import numpy as np
 from .backaction import MeasurementOutcome, offset_outcomes
 from .dicke import EnsembleSpec
 from .oracle import (
-    DEFAULT_GATE,
     DEFAULT_GRID,
-    DEFAULT_JX_MODE,
+    GATE,
     RNG_ALGORITHM,
     compare_report,
     conditional_xi_distribution,
@@ -162,16 +161,6 @@ class Section:
                 f"config [{self._name}] {key} = {value!r}: not a whole number >= {minimum}"
             )
         return int(value)
-
-
-def _env_default(name: str, fallback, cast):
-    raw = os.environ.get(f"SPINSQ_{name}")
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"environment SPINSQ_{name} = {raw!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -397,28 +386,22 @@ def cmd_table1(section: Section) -> tuple:
 
 
 def cmd_oracle_report(section: Section) -> tuple:
-    """Oracle vs closed-form sweep; exit 4 when the gate fails."""
-    gate = section.get("gate", DEFAULT_GATE)
+    """Oracle vs closed-form sweep; exit 4 when the flat gate fails."""
     offsets_std = section.get_floats("offsets", (0.0,))
     grid = {key: section.get_floats(key, default) for key, default in DEFAULT_GRID.items()}
     grid["n_atoms"] = tuple(section.count("n_atoms", n) for n in grid["n_atoms"])
-    jx_mode = section.get("jx_mode", DEFAULT_JX_MODE, cast=str)
 
     offset_pairs = sorted({(0, 0)} | {
         (o, 0) for o in offsets_std if o
     } | {(0, o) for o in offsets_std if o})
-    report = compare_report(
-        grid=grid,
-        offsets=offset_pairs,
-        gate=gate,
-        jx_mode=jx_mode,
-    )
+    report = compare_report(grid=grid, offsets=offset_pairs)
     names = (
         "n_atoms", "i0", "product", "x_t", "offset_alpha", "offset_beta",
         "i_alpha", "i_beta", "xi_oracle", "xi_closed", "rel_err",
     )
     columns = {c: [r[c] for r in report["rows"]] for c in names}
-    meta = dict(section.used)
+    # the fixed gate and <Jx> mode take part in every run, so they are echoed
+    meta = {"gate": GATE, **section.used, "jx_mode": "exact"}
     meta["max_rel_err"] = report["max_rel_err"]
     meta["pass_flat_gate"] = report["pass_flat_gate"]
     meta["pass_adaptive_gate"] = report["pass_adaptive_gate"]
@@ -496,16 +479,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinsq",
         description="Four-color QND spin-squeezing sweeps and reports.",
     )
-    parser.add_argument("--config", default=_env_default("CONFIG", None, str))
-    parser.add_argument("--out", default=_env_default("OUT", None, str))
-    parser.add_argument(
-        "--seed", type=int, default=_env_default("SEED", 0, int)
-    )
-    parser.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        default=_env_default("FORMAT", "csv", str),
-    )
+    parser.add_argument("--config")
+    parser.add_argument("--out")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("command", choices=tuple(_COMMANDS))
     return parser
 
@@ -513,8 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.format not in ("csv", "json"):
-            raise ConfigError(f"unknown format {args.format!r}")
         if args.seed < 0 or args.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
         config = _load_config(args.config)

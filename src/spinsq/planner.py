@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .squeezing import REIDC, eta_optimal, xi_db, xi_noisy
@@ -28,9 +28,6 @@ AVOGADRO = 6.02214076e23
 
 #: default optical mode area: pi * (100 um)^2, in cm^2
 DEFAULT_MODE_AREA = math.pi * 0.01**2
-
-#: default Y2SiO5 host density, g/cm^3
-DEFAULT_HOST_DENSITY = 4.44
 
 
 @dataclass(frozen=True)
@@ -42,13 +39,13 @@ class MaterialSpec:
     doping: float  # dimensionless fraction
     absorption: float  # 1/cm
     usable_ratio: float = 1e-5
-    host_density: float = DEFAULT_HOST_DENSITY  # g/cm^3
+    host_density: float = 4.44  # g/cm^3, Y2SiO5
 
     def __post_init__(self):
         for field_name in ("molar_mass", "doping", "absorption", "usable_ratio", "host_density"):
             v = getattr(self, field_name)
-            if not v > 0:
-                raise ValueError(f"{field_name} must be > 0, got {v}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ValueError(f"{field_name} must be finite and > 0, got {v}")
         if self.doping > 1 or self.usable_ratio > 1:
             raise ValueError("doping and usable_ratio must be <= 1")
 
@@ -127,8 +124,10 @@ def load_materials(path=None) -> dict:
 
     Returns {key: (MaterialSpec, GeometrySpec)}.  Without a path, the
     shipped presets (Eu and Pr in Y2SiO5) are used; user files follow the
-    same format.  A missing file raises FileNotFoundError, a section without
-    molar_mass, doping or absorption raises ValueError.
+    same format.  A key left out takes the MaterialSpec or GeometrySpec
+    default.  A missing file raises FileNotFoundError; a section without
+    molar_mass, doping or absorption, or with a key that names no field of
+    either, raises ValueError.
     """
     parser = configparser.ConfigParser()
     if path is None:
@@ -140,24 +139,23 @@ def load_materials(path=None) -> dict:
         read = parser.read(path)
         if not read:
             raise FileNotFoundError(f"materials file not found: {path}")
+    mat_keys = [f.name for f in fields(MaterialSpec)]
+    geom_keys = [f.name for f in fields(GeometrySpec)]
     presets = {}
     for key in parser.sections():
         sec = parser[key]
         missing = [k for k in ("molar_mass", "doping", "absorption") if k not in sec]
         if missing:
             raise ValueError(f"material [{key}] has no {', '.join(missing)}")
+        unknown = [k for k in sec if k not in mat_keys + geom_keys]
+        if unknown:
+            raise ValueError(f"material [{key}] has unknown key(s) {', '.join(unknown)}")
+        values = {k: sec.getfloat(k) for k in sec if k != "name"}
         mat = MaterialSpec(
             name=sec.get("name", key),
-            molar_mass=sec.getfloat("molar_mass"),
-            doping=sec.getfloat("doping"),
-            absorption=sec.getfloat("absorption"),
-            usable_ratio=sec.getfloat("usable_ratio", 1e-5),
-            host_density=sec.getfloat("host_density", DEFAULT_HOST_DENSITY),
+            **{k: v for k, v in values.items() if k in mat_keys},
         )
-        geom = GeometrySpec(
-            mode_area=sec.getfloat("mode_area", DEFAULT_MODE_AREA),
-            optical_depth=sec.getfloat("optical_depth", 10.0),
-        )
+        geom = GeometrySpec(**{k: v for k, v in values.items() if k in geom_keys})
         presets[key] = (mat, geom)
     return presets
 

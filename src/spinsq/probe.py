@@ -9,11 +9,10 @@ envelopes
 where each Dicke index step shifts the phase by phi.  These are what
 ``mode_amplitudes`` returns; the per-mode photocurrent moments, the exact
 kernel, the Fock micro-oracle and the Monte Carlo sampler all use them.
-The total-intensity and difference-photocurrent moments of
-``intensity_moments_exact`` take a shift of phi/2 per index step instead
-(they pass m/2), which is the one that the second-order variance formula
-Var(I) = 4 I0 (1 + I0 N phi^2 sin^2 2X_t) is exact against; the difference
-photocurrent pairs that alpha envelope with cos(X_t + m phi/2).
+The total-intensity moments of ``intensity_moments_exact`` take a shift
+of phi/2 per index step instead (they pass m/2), which is the one that the
+second-order variance formula Var(I) = 4 I0 (1 + I0 N phi^2 sin^2 2X_t) is
+exact against.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ class LightMoments:
     var_alpha: float
     mean_beta: float
     var_beta: float
-    mean_diff: float
-    var_diff: float
 
 
 def mode_amplitudes(ens: EnsembleSpec, probe: ProbeConfig, m):
@@ -102,8 +99,6 @@ def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMome
     Per-mode means are the binomial average of 4 I0 cos^2(X_t -/+ m phi),
     which to second order is 4 I0 cos^2(sin^2) X_t -/+ I0 N phi^2 cos 2X_t;
     per-mode variances carry the second-order terms of order I0^2 N phi^2.
-    The difference photocurrent is that of the two-cosine envelopes
-    cos(X_t -/+ m phi/2) (see module docstring).
     """
     check_phi2n(ens)
     i0, x, n, phi = probe.i0, probe.x_t, ens.n_atoms, ens.phi
@@ -117,10 +112,6 @@ def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMome
     mean_beta = 4.0 * i0 * s2 + a * c2x
     var_alpha = 4.0 * i0 * (c2 + 2.0 * a * c2 * c2x - a * (c2x + c4x))
     var_beta = 4.0 * i0 * (s2 - 2.0 * a * s2 * c2x + a * (c2x - c4x))
-    mean_diff = 0.0  # cancels up to O(phi^3) for the two-cosine envelopes
-    var_diff = 4.0 * i0 * (
-        1.0 + c2x + (n * phi * phi / 4.0) * (4.0 * i0 * s2x * s2x - c2x / 2.0)
-    )
     return LightMoments(
         mean_total=mean_total,
         var_total=var_total,
@@ -128,8 +119,6 @@ def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMome
         var_alpha=var_alpha,
         mean_beta=mean_beta,
         var_beta=var_beta,
-        mean_diff=mean_diff,
-        var_diff=var_diff,
     )
 
 
@@ -138,9 +127,8 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
 
     No Taylor truncation: for each m the coherent-state moments are
     E[n] = |gamma_m|^2 and E[n^2] = |gamma_m|^4 + |gamma_m|^2, mixed over m
-    with the exact binomial weights.  Total and difference moments shift
-    the phase by phi/2 per index step, per-mode moments by phi (see module
-    docstring).
+    with the exact binomial weights.  Total moments shift the phase by
+    phi/2 per index step, per-mode moments by phi (see module docstring).
     """
     if ens.n_atoms > EXACT_SUM_CAP:
         raise ValueError(
@@ -151,8 +139,7 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
 
     # totals: half shift, m phi/2
     ah, bh = mode_amplitudes(ens, probe, m / 2.0)
-    ia_h, ib_h = ah * ah, bh * bh
-    tot = ia_h + ib_h
+    tot = ah * ah + bh * bh
     mean_total = float(np.dot(w, tot))
     var_total = float(np.dot(w, tot * tot + tot)) - mean_total**2
 
@@ -164,13 +151,6 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
     mean_beta = float(np.dot(w, ib_f))
     var_beta = float(np.dot(w, ib_f * ib_f + ib_f)) - mean_beta**2
 
-    # difference photocurrent: the half-shift alpha against cos(X_t + m phi/2)
-    b0 = 2.0 * math.sqrt(probe.i0) * np.cos(probe.x_t + (m / 2.0) * ens.phi)
-    ib0 = b0 * b0
-    diff = ia_h - ib0
-    mean_diff = float(np.dot(w, diff))
-    var_diff = float(np.dot(w, diff * diff + ia_h + ib0)) - mean_diff**2
-
     return LightMoments(
         mean_total=mean_total,
         var_total=var_total,
@@ -178,6 +158,4 @@ def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMomen
         var_alpha=var_alpha,
         mean_beta=mean_beta,
         var_beta=var_beta,
-        mean_diff=mean_diff,
-        var_diff=var_diff,
     )

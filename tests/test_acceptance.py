@@ -111,7 +111,7 @@ def test_criterion_2_eta_optimal_closed_vs_numeric():
 
 def test_criterion_3a_oracle_equivalence_at_most_probable_outcomes():
     t0 = time.perf_counter()
-    rep = compare_report(offsets=((0, 0),), gate=0.05)
+    rep = compare_report(offsets=((0, 0),))
     assert rep["max_rel_err"] <= 0.05
     assert time.perf_counter() - t0 < 300.0
 
@@ -141,7 +141,7 @@ def test_criterion_3b_oracle_equivalence_at_one_std_offsets():
        grows, and fails this.
     """
     t0 = time.perf_counter()
-    rep = compare_report(gate=0.05)  # default offsets: mean and +/- 1 std per axis
+    rep = compare_report()  # default offsets: mean and +/- 1 std per axis
     assert time.perf_counter() - t0 < 300.0
     assert len(rep["rows"]) == 270
     for row in rep["rows"]:
@@ -163,7 +163,7 @@ def test_criterion_3b_oracle_equivalence_at_one_std_offsets():
     errs = []
     for i0 in (50.0, 200.0, 800.0):
         grid = {"n_atoms": (400,), "i0": (i0,), "product": (4.0,), "x_t": (math.pi / 4,)}
-        conv = compare_report(grid=grid, offsets=((1, 0), (-1, 0)), gate=0.05)
+        conv = compare_report(grid=grid, offsets=((1, 0), (-1, 0)))
         errs.append([row["rel_err"] for row in conv["rows"]])
     for coarse, fine in zip(errs, errs[1:]):
         for e_coarse, e_fine in zip(coarse, fine):

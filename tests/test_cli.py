@@ -1,3 +1,4 @@
+import configparser
 import csv
 import io
 import json
@@ -37,6 +38,9 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+ONE_POINT_REPORT = (
+    "[oracle-report]\nn_atoms = 100\ni0 = 50\nproduct = 4\nx_t = 0.7853981633974483\n"
+)
 SMALL_FIG3 = "[fig3]\nn_atoms = 400\ni0 = 100\nd = 4\neta = 0.5\ngrid_points = 3\nx_t = 0.7853981633974483\n"
 
 
@@ -290,6 +294,10 @@ def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):
     for command, text, key in (
         ("sample", "[sample]\nn_samples = 5\nd = nan\n", "d"),
         ("fig3", "[fig3]\ngird_points = 5\n", "gird_points"),
+        # oracle-report's gate and <Jx> mode are fixed; at this point the
+        # shortcut <Jx> misses the oracle by 8%, which a 50% gate would pass
+        ("oracle-report", ONE_POINT_REPORT + "gate = 0.5\n", "gate"),
+        ("oracle-report", ONE_POINT_REPORT + "jx_mode = shortcut\n", "jx_mode"),
     ):
         cfg = write_config(tmp_path, text)
         code, out, err = run_main(["--config", cfg, command], capsys)
@@ -307,6 +315,10 @@ BAD_MATERIALS = {
     "no_header.txt": "molar_mass = 152.0\n",
     "no_molar_mass.txt": "[eu]\ndoping = 1e-3\nabsorption = 2.0\n",
     "bad_molar_mass.txt": "[eu]\nmolar_mass = abc\ndoping = 1e-3\nabsorption = 2.0\n",
+    "typo_key.txt": (
+        "[eu]\nmolar_mass = 152.0\ndoping = 1e-3\nabsorption = 2.0\nusable_ration = 1e-4\n"
+    ),
+    "inf_molar_mass.txt": "[eu]\nmolar_mass = inf\ndoping = 1e-3\nabsorption = 2.0\n",
 }
 
 
@@ -317,6 +329,8 @@ BAD_MATERIALS = {
         ("table1", "no_header.txt", None),
         ("table1", "no_molar_mass.txt", None),
         ("plan", "bad_molar_mass.txt", None),
+        ("plan", "typo_key.txt", None),
+        ("plan", "inf_molar_mass.txt", None),
         ("plan", None, "missing_dir/plan.csv"),
     ],
 )
@@ -343,7 +357,6 @@ def test_unloadable_materials_or_out_exits_2(tmp_path, capsys, command, material
     [
         ("fig3", "[fig3]\njx_mode = exactt\n"),
         ("sample", "[sample]\nmethod = secnd_order\n"),
-        ("oracle-report", "[oracle-report]\njx_mode = nope\n"),
     ],
 )
 def test_bad_enumerated_config_value_exits_2(tmp_path, capsys, command, text):
@@ -399,27 +412,15 @@ def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):
     assert "numeric error" in err and "phi^2 * N" in err
 
 
-def test_env_overrides(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPINSQ_FORMAT", "json")
-    code, out, _ = run_main(["table1"], capsys)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["metadata"]["format"] == "json"
-    # explicit flag wins over the environment
-    code, out, _ = run_main(["--format", "csv", "table1"], capsys)
-    assert out.startswith("#") or out.startswith("material")
-
-
-def test_env_seed_and_bad_env_value(tmp_path, capsys, monkeypatch):
+def test_environment_sets_nothing(tmp_path, capsys, monkeypatch):
+    # the flags are the only source of the seed and the format
     cfg = write_config(tmp_path, "[sample]\nn_samples = 5\n")
+    _, plain, _ = run_main(["--config", cfg, "sample"], capsys)
+    monkeypatch.setenv("SPINSQ_FORMAT", "json")
     monkeypatch.setenv("SPINSQ_SEED", "11")
-    _, out_env, _ = run_main(["--config", cfg, "sample"], capsys)
-    monkeypatch.delenv("SPINSQ_SEED")
-    _, out_flag, _ = run_main(["--config", cfg, "--seed", "11", "sample"], capsys)
-    assert out_env == out_flag
-    monkeypatch.setenv("SPINSQ_SEED", "not-a-number")
-    code, _, _ = run_main(["--config", cfg, "sample"], capsys)
-    assert code == EXIT_CONFIG
+    code, out, _ = run_main(["--config", cfg, "sample"], capsys)
+    assert code == EXIT_OK
+    assert out == plain
 
 
 def test_out_file(tmp_path, capsys):
@@ -493,3 +494,66 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
     assert to_file == ""
     assert stdout.endswith("\n")
     assert out_path.read_bytes() == stdout.encode()
+
+
+#: numeric keys that each subcommand reads: float keys (a list key's entries
+#: too) and count keys; every other key it reads is text
+FLOAT_KEYS = {
+    "fig3": ("i0", "d", "eta", "x_t"),
+    "fig4": ("eta_max", "reidc_d", "alkali_d", "grid_d"),
+    "oracle-report": ("offsets", "i0", "product", "x_t"),
+    "sample": ("i0", "x_t", "phi"),
+    "plan": ("d", "mode_area", "eta"),
+}
+COUNT_KEYS = {
+    "fig3": ("n_atoms", "grid_points"),
+    "fig4": ("eta_points",),
+    "oracle-report": ("n_atoms",),
+    "sample": ("n_atoms", "n_samples"),
+}
+TEXT_KEYS = {"jx_mode", "method", "materials", "material"}
+FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300")
+#: no large counts: grid_points = 1e300 would build a list that long
+COUNT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e-300")
+
+
+def test_every_numeric_key_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
+    # the keys swept below are all the numeric keys that the subcommands read
+    read = {}
+
+    class RecordingSection(cli.Section):
+        def check_all_read(self):
+            read[self._name] = set(self.used) - TEXT_KEYS
+            super().check_all_read()
+
+    monkeypatch.setattr(cli, "Section", RecordingSection)
+    for command, text in SMALL_CONFIGS.items():
+        run_main(["--config", write_config(tmp_path, text), command], capsys)
+    assert read == {
+        command: set(FLOAT_KEYS.get(command, ()) + COUNT_KEYS.get(command, ()))
+        for command in SMALL_CONFIGS
+    }
+    # each small config with one numeric key at an edge of its domain exits
+    # 2, 3 or 4, or exits 0 with finite cells
+    failures = []
+    for command in SMALL_CONFIGS:
+        cases = [(key, v) for key in FLOAT_KEYS.get(command, ()) for v in FLOAT_EDGES]
+        cases += [(key, v) for key in COUNT_KEYS.get(command, ()) for v in COUNT_EDGES]
+        for key, value in cases:
+            config = configparser.ConfigParser()
+            config.read_string(SMALL_CONFIGS[command])
+            if not config.has_section(command):
+                config.add_section(command)
+            config[command][key] = value
+            path = tmp_path / "edge.ini"
+            with path.open("w") as fh:
+                config.write(fh)
+            code, out, _ = run_main(["--config", str(path), "--format", "json", command], capsys)
+            if code == EXIT_OK:
+                cells = [v for row in json.loads(out)["rows"] for v in row]
+                ok = all(math.isfinite(v) for v in cells if isinstance(v, float))
+            else:
+                ok = code in (EXIT_CONFIG, EXIT_NUMERIC, EXIT_GATE)
+            if not ok:
+                failures.append((command, key, value, code))
+    assert failures == []

@@ -239,7 +239,7 @@ def test_conditional_xi_median_dominates_most_probable_value():
 
 
 def test_compare_report_means_only_within_flat_gate():
-    rep = compare_report(offsets=((0, 0),), gate=0.05)
+    rep = compare_report(offsets=((0, 0),))
     assert rep["pass_flat_gate"]
     assert rep["pass_adaptive_gate"]
     assert rep["max_rel_err"] < 0.05
@@ -250,7 +250,7 @@ def test_compare_report_adaptive_gate_on_axis_offsets():
     # off-mean outcomes exceed the flat 5% gate but stay within the adaptive
     # max(5%, phi sqrt N) gate that tracks the expansion's intrinsic accuracy
     grid = {"n_atoms": (400,), "i0": (100.0,), "product": (1.0, 4.0)}
-    rep = compare_report(grid=grid, gate=0.05)
+    rep = compare_report(grid=grid)
     assert rep["pass_adaptive_gate"]
 
 

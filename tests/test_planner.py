@@ -48,7 +48,24 @@ def test_load_materials_custom_file(tmp_path):
     mat, geom = presets["toy"]
     assert mat.name == "Toy"
     assert geom.optical_depth == 5.0
+    # keys left out take the dataclass defaults
     assert geom.mode_area == DEFAULT_MODE_AREA
+    assert (mat.usable_ratio, mat.host_density) == (1e-5, 4.44)
+
+
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("molar_mass = 100\nusable_ration = 1e-4", "usable_ration"),  # a typo
+        ("molar_mass = inf", "molar_mass"),
+        ("molar_mass = 100\nhost_density = nan", "host_density"),
+    ],
+)
+def test_load_materials_refuses_unknown_key_and_non_finite_value(tmp_path, lines, key):
+    f = tmp_path / "mats.txt"
+    f.write_text(f"[toy]\ndoping = 1e-3\nabsorption = 1.0\n{lines}\n")
+    with pytest.raises(ValueError, match=key):
+        load_materials(str(f))
 
 
 def test_material_validation():

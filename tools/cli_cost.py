@@ -11,8 +11,8 @@ and the output written to /dev/null) and the median of its peak resident set
 size, from ``os.wait4`` (Linux reports it in KiB).
 
 The package is imported from SRC, by default the ``src/`` directory of the
-checkout this script sits in, and ``SPINSQ_*`` environment variables are
-ignored.  Comparing two versions is then two runs on the same host::
+checkout this script sits in.  Comparing two versions is then two runs on
+the same host::
 
     python3 tools/cli_cost.py --src /path/to/other/checkout/src
     python3 tools/cli_cost.py
@@ -65,8 +65,7 @@ def main(argv=None) -> int:
         help="directory that holds the spinsq package (default: this checkout's src/)",
     )
     args = parser.parse_args(argv)
-    env = {k: v for k, v in os.environ.items() if not k.startswith("SPINSQ_")}
-    env["PYTHONPATH"] = str(args.src.resolve())
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
 
     samples: dict = {row: [] for row in PROGRAMS}
     for _ in range(RUNS):

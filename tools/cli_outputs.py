@@ -18,8 +18,8 @@ exact oracle evaluates in several blocks.  ``exit_codes.txt`` lists each
 run's exit code.
 
 The package is imported from SRC, by default the ``src/`` directory of the
-checkout this script sits in, and ``SPINSQ_*`` environment variables are
-ignored.  Comparing two versions of the output is then two runs and a diff::
+checkout this script sits in.  Comparing two versions of the output is
+then two runs and a diff::
 
     python3 tools/cli_outputs.py --src /path/to/other/checkout/src before
     python3 tools/cli_outputs.py after
@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import os
 import sys
 import tempfile
 from pathlib import Path
@@ -66,8 +65,6 @@ def main(argv=None) -> int:
         help="directory that holds the spinsq package (default: this checkout's src/)",
     )
     args = parser.parse_args(argv)
-    for name in [k for k in os.environ if k.startswith("SPINSQ_")]:
-        del os.environ[name]
     sys.path.insert(0, str(args.src.resolve()))
     from spinsq import cli
 
