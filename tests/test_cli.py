@@ -357,6 +357,8 @@ def test_unloadable_materials_or_out_exits_2(tmp_path, capsys, command, material
     [
         ("fig3", "[fig3]\njx_mode = exactt\n"),
         ("sample", "[sample]\nmethod = secnd_order\n"),
+        # oracle-report reads no jx_mode: any value of it is refused
+        ("oracle-report", "[oracle-report]\njx_mode = nope\n"),
     ],
 )
 def test_bad_enumerated_config_value_exits_2(tmp_path, capsys, command, text):
