@@ -14,16 +14,17 @@ Options: --config PATH (INI file, one section per subcommand), --out PATH,
 the only source of these settings; no environment variable is read.
 
 Exit codes: 0 success; 2 configuration error (including a key in the
-subcommand's own section that it does not read, a count key --
-grid_points, eta_points, n_atoms, n_samples -- that is not a whole number
-at or above its minimum, a materials file that cannot be read or holds an
-invalid preset -- an unknown key, or a value that is not finite and > 0 --
-and an --out file that cannot be opened); 3 numeric-domain
-error (including phi^2 N above probe.PHI2N_WARN in fig3 and second-order
-sample, a non-finite x_t or optical depth, and a plan whose N, I0 or
-detuning is not finite); 4 acceptance-gate failure (oracle-report's flat
-gate, oracle.GATE, which no setting moves, including a row whose relative
-error is not finite).
+subcommand's own section that it does not read, a count key -- grid_points,
+eta_points, n_atoms, n_samples -- that is not a whole number at or above
+its minimum, an empty fig3 x_t or oracle-report grid list, a materials file
+that cannot be read or holds an invalid preset -- an unknown key, or a
+value that is not finite and > 0 -- and an --out file that cannot be
+opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
+in fig3 and second-order sample, a non-finite x_t or optical depth, and a
+plan whose N, I0 or detuning is not finite); 4 acceptance-gate failure
+(oracle-report's flat gate, oracle.GATE, which no setting moves, including
+a row whose relative error is not finite); 5 stdout closed early
+(``spinsq fig3 | head -1``), reported on one stderr line.
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
@@ -41,6 +42,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -71,6 +73,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_GATE = 4
+EXIT_OUTPUT = 5
 
 
 #: allowed values of the enumerated config keys
@@ -138,7 +141,7 @@ class Section:
         self.used[key] = value
         return value
 
-    def get_floats(self, key: str, default: tuple) -> tuple:
+    def get_floats(self, key: str, default: tuple, nonempty: bool = False) -> tuple:
         raw = self._sec.get(key) if self._sec else None
         if raw is None:
             self.used[key] = list(default)
@@ -147,6 +150,8 @@ class Section:
             values = tuple(float(tok) for tok in str(raw).replace(",", " ").split())
         except ValueError as exc:
             raise ConfigError(f"config [{self._name}] {key} = {raw!r}: {exc}") from exc
+        if nonempty and not values:
+            raise ConfigError(f"config [{self._name}] {key}: the list is empty")
         self.used[key] = list(values)
         return values
 
@@ -292,7 +297,7 @@ def cmd_fig3(section: Section) -> tuple:
     eta = section.get("eta", 0.32)
     n_atoms = section.get_count("n_atoms", 6e10)
     x_t_list = section.get_floats(
-        "x_t", (0.0, math.pi / 8, math.pi / 4, math.pi / 2)
+        "x_t", (0.0, math.pi / 8, math.pi / 4, math.pi / 2), nonempty=True
     )
     grid_points = section.get_count("grid_points", 21)
     jx_mode = section.get("jx_mode", "shortcut", cast=str)
@@ -388,7 +393,7 @@ def cmd_table1(section: Section) -> tuple:
 def cmd_oracle_report(section: Section) -> tuple:
     """Oracle vs closed-form sweep; exit 4 when the flat gate fails."""
     offsets_std = section.get_floats("offsets", (0.0,))
-    grid = {key: section.get_floats(key, default) for key, default in DEFAULT_GRID.items()}
+    grid = {k: section.get_floats(k, v, nonempty=True) for k, v in DEFAULT_GRID.items()}
     grid["n_atoms"] = tuple(section.count("n_atoms", n) for n in grid["n_atoms"])
 
     offset_pairs = sorted({(0, 0)} | {
@@ -520,9 +525,17 @@ def main(argv=None) -> int:
     meta.setdefault("format", args.format)
     try:
         _emit(_render(columns, meta, args.format), args.out)
+        sys.stdout.flush()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        if args.out:
+            raise
+        # the reader is gone: devnull takes the flush at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before the output was complete", file=sys.stderr)
+        return EXIT_OUTPUT
     return code
 
 

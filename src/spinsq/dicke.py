@@ -12,6 +12,7 @@ indexing with the integer 2m.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,17 @@ class DickeWeights:
         w = np.exp(self.log_w - shift)
         return w / w.sum(axis=-1, keepdims=True)
 
+    def moments(self) -> tuple:
+        """(<Jz^2>, <Jx>) per row, as ``collective_moments`` defines them."""
+        m = m_values(self.n_atoms)
+        shift = self.log_w.max(axis=-1, keepdims=True)
+        w = np.exp(self.log_w - shift)
+        band = np.exp(self.log_w[..., :-1] + self.offdiag_logf - shift) * self.offdiag_sign
+        jx = (band * (self.n_atoms / 2.0 - m[:-1])).sum(axis=-1)
+        norm = w.sum(axis=-1)
+        # vecdot gives each row the bits of np.dot on it (a gemv would not)
+        return np.vecdot(w, m * m) / norm, jx / norm
+
 
 @dataclass(frozen=True)
 class SqueezingResult:
@@ -104,22 +116,29 @@ class SqueezingResult:
         return cls(jz2=jz2, jx=jx, xi_sq=xi_sq, jx_zero=jx <= 0)
 
 
-def css_log_weights(n_atoms: int) -> DickeWeights:
-    """Exact log-binomial CSS weights via log-gamma.
+@functools.lru_cache(maxsize=8)
+def log_binomial_weights(n_atoms: int) -> np.ndarray:
+    """Read-only log C(N, N/2 + m) / 2^N, exactly symmetric in m.  The cache
+    keeps 8 atom counts of N + 1 floats each: <= 128 KiB up to ORACLE_N_CAP,
+    but up to 8 MB per entry at ``intensity_moments_exact``'s EXACT_SUM_CAP."""
+    from scipy.special import gammaln  # local: only the exact paths pay for scipy
 
-    w_m = C(N, N/2 + m) / 2^N, stored as log weights; exactly symmetric in m.
-    """
+    log_k_fact = gammaln(np.arange(1, n_atoms + 2))  # log k! for k = 0 .. n
+    log_w = gammaln(n_atoms + 1) - log_k_fact - log_k_fact[::-1] - n_atoms * np.log(2.0)
+    # enforce exact m -> -m symmetry against round-off
+    log_w = 0.5 * (log_w + log_w[::-1])
+    log_w.flags.writeable = False
+    return log_w
+
+
+def css_log_weights(n_atoms: int) -> DickeWeights:
+    """Exact log-binomial CSS weights, a fresh ``DickeWeights`` around the
+    cached read-only ``log_binomial_weights(n_atoms)``."""
     if n_atoms < 1 or int(n_atoms) != n_atoms:
         raise ValueError(f"n_atoms must be a positive integer, got {n_atoms}")
     n = int(n_atoms)
-    from scipy.special import gammaln  # local: only the exact paths pay for scipy
-
-    log_k_fact = gammaln(np.arange(1, n + 2))  # log k! for k = 0 .. n
-    log_w = gammaln(n + 1) - log_k_fact - log_k_fact[::-1] - n * np.log(2.0)
-    # enforce exact m -> -m symmetry against round-off
-    log_w = 0.5 * (log_w + log_w[::-1])
     return DickeWeights(
-        n_atoms=n, log_w=log_w, offdiag_logf=np.zeros(n), offdiag_sign=np.ones(n)
+        n_atoms=n, log_w=log_binomial_weights(n), offdiag_logf=np.zeros(n), offdiag_sign=np.ones(n)
     )
 
 
@@ -135,18 +154,4 @@ def collective_moments(weights: DickeWeights) -> SqueezingResult:
     A vanishing <Jx> yields xi_sq = +inf with the ``jx_zero`` flag set rather
     than an exception.
     """
-    n = weights.n_atoms
-    m = m_values(n)
-    shift = weights.log_w.max()
-    w = np.exp(weights.log_w - shift)
-    norm = w.sum()
-
-    jz2 = float(np.dot(w, m * m) / norm)
-    contrib = (
-        np.exp(weights.log_w[:-1] + weights.offdiag_logf - shift)
-        * weights.offdiag_sign
-        * (n / 2.0 - m[:-1])
-    )
-    jx = float(contrib.sum() / norm)
-
-    return SqueezingResult.from_moments(n, jz2, jx)
+    return SqueezingResult.from_moments(weights.n_atoms, *weights.moments())

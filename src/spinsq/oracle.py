@@ -31,7 +31,6 @@ from .backaction import (
     posterior_weights,
 )
 from .dicke import (
-    DickeWeights,
     EnsembleSpec,
     SqueezingResult,
     collective_moments,
@@ -50,10 +49,10 @@ POISSON_NORMAL_SWITCH = 1e6
 #: largest share of the posterior trace that fock_posterior's cutoff may drop
 FOCK_TAIL_RTOL = 1e-8
 
-#: kernel elements, outcomes x (2N+1), per posterior_weights call in oracle_xi.
-#: Sized by elements, not outcomes, to bound the temporaries: exact ``sample``
-#: at N = 2000 peaks at 56.4 MiB with 2**14, 61.4 MiB with 2**16 and 56.1 MiB
-#: one outcome at a time.
+#: kernel elements, outcomes x (2N+1), per posterior_weights call in oracle_xi,
+#: i.e. per block of outcomes.  Sized by elements, not outcomes, to bound the
+#: temporaries: exact ``sample`` at N = 2000 peaks at 56.4 MiB with 2**14,
+#: 61.4 MiB with 2**16 and 56.1 MiB one outcome at a time.
 ORACLE_BLOCK = 2**14
 
 
@@ -63,9 +62,9 @@ def oracle_xi(
     """xi^2 from the exact-kernel posterior; independent of all expansions.
 
     Outcome fields that are 1-D arrays give array-valued results, each
-    element equal to that outcome's scalar call.  The posterior is evaluated
-    for ORACLE_BLOCK kernel elements (outcomes x (2N+1)) at a time, and the
-    moments one row at a time.
+    element equal to that outcome's scalar call.  The posterior and its
+    ``DickeWeights.moments`` take ORACLE_BLOCK kernel elements (outcomes x
+    (2N+1)) at a time; an outcome array that fits one block passes as is.
     """
     if np.ndim(out.i_alpha) == 0:
         return collective_moments(posterior_weights(ens, probe, out, method="exact"))
@@ -74,12 +73,8 @@ def oracle_xi(
     step = max(1, ORACLE_BLOCK // (2 * n + 1))
     for start in range(0, jz2.size, step):
         block = slice(start, start + step)
-        post = posterior_weights(
-            ens, probe, MeasurementOutcome(out.i_alpha[block], out.i_beta[block]), method="exact"
-        )
-        for j, row in enumerate(zip(post.log_w, post.offdiag_logf, post.offdiag_sign), start):
-            moments = collective_moments(DickeWeights(n, *row))
-            jz2[j], jx[j] = moments.jz2, moments.jx
+        sub = out if jz2.size <= step else MeasurementOutcome(out.i_alpha[block], out.i_beta[block])
+        jz2[block], jx[block] = posterior_weights(ens, probe, sub, method="exact").moments()
     return SqueezingResult.from_moments(n, jz2, jx)
 
 
@@ -220,7 +215,7 @@ def conditional_xi_distribution(
     quantiles = {}
     finite = rows[:, 2][np.isfinite(rows[:, 2])]
     if finite.size:
-        quantiles = {q: float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75)}
+        quantiles = dict(zip((0.25, 0.5, 0.75), np.quantile(finite, (0.25, 0.5, 0.75)).tolist()))
     return SampleTable(rows=rows, quantiles=quantiles)
 
 
@@ -251,14 +246,16 @@ def compare_report(grid: dict | None = None, offsets=DEFAULT_OFFSETS) -> dict:
     all outcomes of a grid point.  The closed form uses its exact <Jx>.  Rows
     carry both xi^2 values and the relative error; the summary reports the
     flat gate GATE, fixed so that no setting can turn it green, and the
-    softer adaptive gate max(GATE, phi * sqrt(N)) that tracks the
-    expansion's intrinsic O(phi sqrt(N)) accuracy.  A row whose relative error is not finite
-    (an infinite oracle xi^2, say) fails both gates and makes
-    ``max_rel_err`` infinite.  At +/-1 sigma outcomes on the default grid
-    the measured error is at most about 0.58 phi sqrt(N), a margin of
-    about 1.7x.
+    softer adaptive gate max(GATE, phi * sqrt(N)) that tracks the expansion's
+    intrinsic O(phi sqrt(N)) accuracy.  A row whose relative error is not
+    finite (an infinite oracle xi^2, say) fails both gates and makes
+    ``max_rel_err`` infinite; an empty grid axis, which would pass them on
+    no rows, raises ValueError.  At +/-1 sigma outcomes on the default grid
+    the measured error is at most about 0.58 phi sqrt(N), a 1.7x margin.
     """
     grid = {**DEFAULT_GRID, **(grid or {})}
+    if empty := [key for key in DEFAULT_GRID if not len(grid[key])]:
+        raise ValueError(f"empty grid axis: {', '.join(empty)}")
     offsets_alpha = np.array([da for da, _ in offsets], dtype=float)
     offsets_beta = np.array([db for _, db in offsets], dtype=float)
     rows = []

@@ -235,6 +235,26 @@ def test_posterior_rows_equal_scalar_calls(method, x_t):
         assert rows.normalized()[j].tobytes() == one.normalized().tobytes()
 
 
+@pytest.mark.parametrize("method", ["exact", "second_order"])
+def test_posterior_repeated_readings_equal_scalar_calls(method):
+    # readings that repeat on either mode share one kernel row; near
+    # X_t = pi/2 the alpha kernel takes the j0 branch on its band, where
+    # I_alpha = 150 gives a negative J_0, and each row still holds the bits
+    # of its own scalar call
+    ens = EnsembleSpec(n_atoms=100, phi=0.02)
+    probe = ProbeConfig(i0=50.0, x_t=math.pi / 2 - 0.01)
+    a, _ = mode_amplitudes(ens, probe, m_values(100))
+    assert (a[:-1] * a[1:] < 0).any()
+    i_alpha = [3.0, 3.0, 150.0, 3.0, 0.0, 150.0]
+    i_beta = [200.0, 7.25, 200.0, 200.0, 7.25, 0.0]
+    rows = posterior_weights(ens, probe, MeasurementOutcome(np.array(i_alpha), np.array(i_beta)), method)
+    assert (rows.offdiag_sign < 0).any() == (method == "exact")
+    for j, (i_a, i_b) in enumerate(zip(i_alpha, i_beta)):
+        one = posterior_weights(ens, probe, MeasurementOutcome(i_a, i_b), method)
+        for name in ("log_w", "offdiag_logf", "offdiag_sign"):
+            assert getattr(rows, name)[j].tobytes() == getattr(one, name).tobytes(), name
+
+
 def test_posterior_rotation_symmetry():
     # swapping X_t -> pi/2 - X_t together with the two outcomes leaves xi^2
     # invariant (the two probe pairs trade roles)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from spinsq import cli
-from spinsq.cli import EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK, main
+from spinsq.cli import EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK, EXIT_OUTPUT, main
 
 
 def run_main(args, capsys):
@@ -278,6 +278,12 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         ("plan", "material = eu\n"),  # no section header
         ("sample", "[sample]\nd = 1\n"),  # a key that sample does not read
         ("fig3", "[fig3]\ngird_points = 5\n"),  # a typo
+        # an empty list would print no rows, and pass oracle-report's gate
+        ("fig3", "[fig3]\nx_t =\n"),
+        ("oracle-report", "[oracle-report]\nn_atoms =\n"),
+        ("oracle-report", "[oracle-report]\ni0 =\n"),
+        ("oracle-report", "[oracle-report]\nproduct = ,\n"),
+        ("oracle-report", "[oracle-report]\nx_t =\n"),
     ):
         cfg = write_config(tmp_path, text)
         code, out, err = run_main(["--config", cfg, command], capsys)
@@ -285,6 +291,33 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         assert out == ""
         assert "error:" in err and "numeric" not in err
         assert len(err.splitlines()) == 1, err
+        if text.rstrip(" ,\n").endswith("="):
+            assert text.split("\n")[1].split()[0] in err, err
+
+
+def test_empty_fig4_d_list_leaves_that_model_out(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[fig4]\neta_points = 2\nalkali_d =\ngrid_d =\n")
+    code, out, _ = run_main(["--config", cfg, "fig4"], capsys)
+    assert code == EXIT_OK
+    _, _, rows = parse_csv(out)
+    assert [r[0] for r in rows] == ["reidc"] * 4
+
+
+def test_closed_stdout_exits_5_without_a_traceback(tmp_path):
+    # the reader closes the pipe after one line (spinsq fig3 | head -1); the
+    # output is far larger than a pipe buffer, so the writer sees it closed
+    cfg = write_config(tmp_path, "[fig3]\ngrid_points = 61\n")
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spinsq.cli", "--config", cfg, "fig3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=src,
+    )
+    assert proc.stdout.readline().startswith(b"# ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OUTPUT
+    assert err == "error: stdout closed before the output was complete\n"
 
 
 def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):

@@ -9,7 +9,7 @@ from spinsq import (
     collective_moments,
     css_log_weights,
 )
-from spinsq.dicke import m_values
+from spinsq.dicke import log_binomial_weights, m_values
 
 
 def test_css_n2_weights():
@@ -91,6 +91,42 @@ def test_jx_zero_sentinel():
     r = collective_moments(dicke_state(4, 4))
     assert r.jx_zero
     assert math.isinf(r.xi_sq)
+
+
+def test_moments_rows_equal_collective_moments_per_row():
+    # DickeWeights.moments() over a stack of rows gives each row the bits of
+    # the scalar collective_moments call on it (a matrix-vector product for
+    # <Jz^2> would round some rows differently), for a CSS, reweighted
+    # posteriors with a signed band, a Dicke state with a -inf band
+    # (<Jx> = 0) and the stretched state (the jx_zero sentinel)
+    n = 300
+    rng = np.random.default_rng(5)
+    states = [css_log_weights(n)] + [
+        DickeWeights(n, rng.normal(size=n + 1) * 30, rng.normal(size=n), np.sign(rng.normal(size=n)))
+        for _ in range(5)
+    ] + [dicke_state(n, n // 2 + 1), dicke_state(n, n)]
+    stacked = DickeWeights(
+        n, *(np.stack([getattr(s, f) for s in states]) for f in ("log_w", "offdiag_logf", "offdiag_sign"))
+    )
+    jz2, jx = stacked.moments()
+    assert jz2.shape == jx.shape == (len(states),)
+    for j, state in enumerate(states):
+        one = collective_moments(state)
+        assert np.array([jz2[j], jx[j]]).tobytes() == np.array([one.jz2, one.jx]).tobytes(), j
+    assert jx[-2] == 0.0 and collective_moments(states[-1]).jx_zero
+
+
+def test_cached_prior_is_read_only():
+    prior = log_binomial_weights(30)
+    assert prior is log_binomial_weights(30)
+    with pytest.raises(ValueError):
+        prior[0] = 0.0
+    a, b = css_log_weights(30), css_log_weights(30)
+    assert a is not b
+    for name in ("log_w", "offdiag_logf", "offdiag_sign"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    with pytest.raises(ValueError):
+        a.log_w[0] = 0.0
 
 
 def test_binomial_ladder_recursion_log_space():

@@ -177,6 +177,18 @@ def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():
     np.testing.assert_array_equal(t.rows[:, 2], expected)
 
 
+def test_conditional_xi_quantiles_equal_separate_quantile_calls():
+    # one np.quantile call over the three levels gives the bits of three
+    # calls; at N = 2 and I0 = 1 the 200 counts repeat, so the rows hold ties
+    t = conditional_xi_distribution(
+        EnsembleSpec(n_atoms=2, phi=0.5), ProbeConfig(i0=1.0, x_t=math.pi / 8),
+        n_samples=200, seed=1, method="exact",
+    )
+    xi = t.rows[:, 2]
+    assert np.isfinite(xi).all() and np.unique(xi).size < xi.size / 2
+    assert t.quantiles == {q: float(np.quantile(xi, q)) for q in (0.25, 0.5, 0.75)}
+
+
 def test_exact_sampler_rows_are_oracle_xi_of_their_outcomes():
     # each row holds the bits of a scalar oracle_xi call on its own outcome;
     # at N = 400 the 300 rows span several oracle_xi blocks
@@ -267,6 +279,13 @@ def test_compare_report_fails_both_gates_on_a_non_finite_row():
     assert rep["max_rel_err"] == math.inf
     assert not rep["pass_flat_gate"]
     assert not rep["pass_adaptive_gate"]
+
+
+@pytest.mark.parametrize("key", ["n_atoms", "i0", "product", "x_t"])
+def test_compare_report_refuses_an_empty_grid_axis(key):
+    # no rows would pass both gates with max_rel_err = 0
+    with pytest.raises(ValueError, match=key):
+        compare_report(grid={key: ()})
 
 
 def test_oracle_vs_closed_form_tracks_most_probable_law():
