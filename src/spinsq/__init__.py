@@ -4,7 +4,7 @@ Layers (bottom-up):
 
 * :mod:`spinsq.dicke` — coherent-spin-state weights and collective moments;
 * :mod:`spinsq.probe` — dispersive mode amplitudes and light-intensity moments;
-* :mod:`spinsq.backaction` — exact and second-order measurement back-action;
+* :mod:`spinsq.backaction` — exact measurement back-action, expansion coefficients;
 * :mod:`spinsq.squeezing` — closed-form xi^2, limits, scattering noise models;
 * :mod:`spinsq.oracle` — brute-force posteriors, Fock micro-oracle, sampling;
 * :mod:`spinsq.planner` — experimental parameter chain for Eu/Pr presets;

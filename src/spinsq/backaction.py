@@ -13,10 +13,12 @@ S is a Bessel function (DLMF 10.25.2, 10.2.2): I_0(2 sqrt(x)) for x >= 0,
 as log i0e(z) + z with the exponentially scaled i0e (finite for all finite
 z, DLMF 10.40.1), and J_0(2 sqrt(-x)) for x < 0, whose sign is carried
 separately.  Each branch runs only on its own elements.
+``posterior_weights`` weights the binomial prior with this exact kernel.
 
-The second-order path expands the log-kernel to quadratic order in m*phi.
-Its m-independent term cancels on normalization, so only the coefficients
-(W, Y, Z) and lambda = -2Y - Z are kept.
+The closed form's second-order expansion of the log-kernel in m*phi lives
+only in ``expansion_coeffs``: its m-independent term cancels on
+normalization, so only the coefficients (W, Y, Z) and lambda = -2Y - Z are
+kept.
 """
 
 from __future__ import annotations
@@ -177,57 +179,34 @@ def posterior_weights(
 ) -> DickeWeights:
     """Conditional Dicke weights given a measurement outcome.
 
-    method="exact" multiplies the binomial prior by the exact Bessel kernel
-    (N capped at ORACLE_N_CAP, I0 at ORACLE_I0_CAP); method="second_order"
-    uses the quadratic expansion, whose diagonal log-factor is
-    2 W phi m - lambda phi^2 m^2.  In both cases ``offdiag_logf`` holds the
-    log-ratio F(m, m+1) = K(m, m+1) / K(m, m) needed for <Jx>, with signs
-    carried separately.
+    The binomial prior times the exact Bessel kernel (N capped at
+    ORACLE_N_CAP, I0 at ORACLE_I0_CAP); "exact" is the only method, and any
+    other raises ValueError.  ``offdiag_logf`` holds the log-ratio
+    F(m, m+1) = K(m, m+1) / K(m, m) needed for <Jx>, with signs carried
+    separately.
 
     Outcome fields that are 1-D arrays of k outcomes give one row of
     weights per outcome, each equal to that outcome's scalar call; the m
     ladder and mode envelopes are built once per call, the exact kernel once
     per distinct reading of each mode, and the prior is cached.
     """
-    prior = log_binomial_weights(int(ens.n_atoms))
-    m = m_values(ens.n_atoms)
-
-    if method == "exact":
-        if ens.n_atoms > ORACLE_N_CAP:
-            raise ValueError(
-                f"n_atoms = {ens.n_atoms} exceeds exact-kernel cap {ORACLE_N_CAP}"
-            )
-        if probe.i0 > ORACLE_I0_CAP:
-            raise ValueError(
-                f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}"
-            )
-        a, b = mode_amplitudes(ens, probe, m)
-        # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
-        # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
-        log_k, sign = _log_povm_element(
-            out, np.concatenate((a, a[:-1])), np.concatenate((b, b[:-1])),
-            np.concatenate((a, a[1:])), np.concatenate((b, b[1:])),
-        )
-        diag_log = log_k[..., : a.size]
-        return DickeWeights(
-            n_atoms=ens.n_atoms,
-            log_w=prior + diag_log,
-            offdiag_logf=log_k[..., a.size :] - diag_log[..., :-1],
-            offdiag_sign=sign[..., a.size :],
-        )
-
-    if method == "second_order":
-        coef = expansion_coeffs(probe, out)
-        phi = ens.phi
-        # one row per outcome: the coefficients run down a trailing unit axis
-        w, y, lam = (np.expand_dims(v, -1) for v in (coef.w, coef.y, coef.lam))
-        log_w = prior + 2.0 * w * phi * m - lam * phi * phi * m * m
-        offdiag_logf = w * phi + y * phi * phi - lam * phi * phi * m[:-1]
-        return DickeWeights(
-            n_atoms=ens.n_atoms,
-            log_w=log_w,
-            offdiag_logf=offdiag_logf,
-            offdiag_sign=np.ones(offdiag_logf.shape),
-        )
-
-    raise ValueError(f"unknown method {method!r}")
+    if method != "exact":
+        raise ValueError(f"unknown method {method!r}")
+    if ens.n_atoms > ORACLE_N_CAP:
+        raise ValueError(f"n_atoms = {ens.n_atoms} exceeds exact-kernel cap {ORACLE_N_CAP}")
+    if probe.i0 > ORACLE_I0_CAP:
+        raise ValueError(f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}")
+    a, b = mode_amplitudes(ens, probe, m_values(ens.n_atoms))
+    # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
+    # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
+    log_k, sign = _log_povm_element(
+        out, np.concatenate((a, a[:-1])), np.concatenate((b, b[:-1])),
+        np.concatenate((a, a[1:])), np.concatenate((b, b[1:])),
+    )
+    diag_log = log_k[..., : a.size]
+    return DickeWeights(
+        n_atoms=ens.n_atoms,
+        log_w=log_binomial_weights(int(ens.n_atoms)) + diag_log,
+        offdiag_logf=log_k[..., a.size :] - diag_log[..., :-1],
+        offdiag_sign=sign[..., a.size :],
+    )

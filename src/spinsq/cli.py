@@ -20,11 +20,12 @@ its minimum, an empty fig3 x_t or oracle-report grid list, a materials file
 that cannot be read or holds an invalid preset -- an unknown key, or a
 value that is not finite and > 0 -- and an --out file that cannot be
 opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
-in fig3 and second-order sample, a non-finite x_t or optical depth, and a
-plan whose N, I0 or detuning is not finite); 4 acceptance-gate failure
-(oracle-report's flat gate, oracle.GATE, which no setting moves, including
-a row whose relative error is not finite); 5 stdout closed early
-(``spinsq fig3 | head -1``), reported on one stderr line.
+in fig3 and second-order sample, a non-finite x_t or optical depth, a
+plan whose N, I0 or detuning is not finite, and an allocation that fails);
+4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
+setting moves, including a row whose relative error is not finite); 5
+stdout closed early (``spinsq fig3 | head -1``), reported on one stderr
+line.
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
@@ -306,12 +307,13 @@ def cmd_fig3(section: Section) -> tuple:
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
     check_phi2n(ens, refuse=True)
     nudges: list = []
-    offsets = np.array(_linspace(-1.0, 1.0, grid_points))
     per_phase = grid_points * grid_points
+    # allocated before _linspace's list, so that an oversized grid fails at once
     columns = {
         name: np.empty(len(x_t_list) * per_phase)
         for name in ("x_t", "i_alpha", "i_beta", "xi_sq")
     }
+    offsets = np.array(_linspace(-1.0, 1.0, grid_points))
     for k, x_t_raw in enumerate(x_t_list):
         x_t = _nudge_singular(x_t_raw, nudges)
         probe = ProbeConfig(i0=i0, x_t=x_t)
@@ -511,8 +513,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, ArithmeticError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_NUMERIC
 
     raised = list(dict.fromkeys(str(w.message) for w in caught))

@@ -1,11 +1,14 @@
-"""Brute-force verification path.
+"""Brute-force verification path, and its comparison with the closed form.
 
-Everything in this module avoids the second-order expansion: the posterior
-comes from the exact Bessel kernel, the micro-oracle builds the full
-atom+light state in a truncated Fock basis (each mode's coherent amplitudes
-for every m from one cumprod) and traces the light out, refusing a cutoff
-whose dropped tail it cannot bound below FOCK_TAIL_RTOL of the trace, and
-the Monte Carlo sampler draws outcomes from the exact mixture law
+``oracle_xi``, ``fock_posterior``, ``fock_moments`` and ``sample_outcome``
+avoid the second-order expansion; ``compare_report`` and
+``conditional_xi_distribution``'s default method="second_order" evaluate
+the closed form for comparison.  The oracle's posterior comes from the
+exact Bessel kernel, the micro-oracle builds the full atom+light state in a
+truncated Fock basis (each mode's coherent amplitudes for every m from one
+cumprod) and traces the light out, refusing a cutoff whose dropped tail it
+cannot bound below FOCK_TAIL_RTOL of the trace, and the Monte Carlo
+sampler draws outcomes from the exact mixture law
 
     m ~ binomial Dicke weights, then I_gamma ~ Poisson(|gamma_m|^2).
 
@@ -30,13 +33,7 @@ from .backaction import (
     offset_outcomes,
     posterior_weights,
 )
-from .dicke import (
-    EnsembleSpec,
-    SqueezingResult,
-    collective_moments,
-    css_log_weights,
-    m_values,
-)
+from .dicke import EnsembleSpec, SqueezingResult, css_log_weights, m_values
 from .probe import ProbeConfig, check_phi2n, mode_amplitudes
 from .squeezing import xi_closed_form, xi_closed_form_array
 
@@ -62,20 +59,19 @@ def oracle_xi(
     """xi^2 from the exact-kernel posterior; independent of all expansions.
 
     Outcome fields that are 1-D arrays give array-valued results, each
-    element equal to that outcome's scalar call.  The posterior and its
-    ``DickeWeights.moments`` take ORACLE_BLOCK kernel elements (outcomes x
-    (2N+1)) at a time; an outcome array that fits one block passes as is.
+    element equal to that outcome's scalar call; scalar fields give numpy
+    scalars.  The posterior and its ``DickeWeights.moments`` take
+    ORACLE_BLOCK kernel elements (outcomes x (2N+1)) at a time; outcomes
+    that fit one block, a scalar one included, pass as they are.
     """
-    if np.ndim(out.i_alpha) == 0:
-        return collective_moments(posterior_weights(ens, probe, out, method="exact"))
-    n = ens.n_atoms
+    n, shape = ens.n_atoms, np.shape(out.i_alpha)
     jz2, jx = np.empty((2, np.size(out.i_alpha)))
     step = max(1, ORACLE_BLOCK // (2 * n + 1))
     for start in range(0, jz2.size, step):
         block = slice(start, start + step)
         sub = out if jz2.size <= step else MeasurementOutcome(out.i_alpha[block], out.i_beta[block])
         jz2[block], jx[block] = posterior_weights(ens, probe, sub, method="exact").moments()
-    return SqueezingResult.from_moments(n, jz2, jx)
+    return SqueezingResult.from_moments(n, jz2.reshape(shape)[()], jx.reshape(shape)[()])
 
 
 # ---------------------------------------------------------------------------

@@ -141,20 +141,6 @@ def test_povm_weight_symmetry_and_frozen_value():
     assert lw1[1] == 1.0
 
 
-def test_posterior_second_order_variance():
-    # at the most probable outcome the posterior variance of m contracts to
-    # (N/4)/(1 + 2 I0 N phi^2)
-    n, i0, prod = 400, 100.0, 1.0
-    phi = math.sqrt(prod / (2 * i0 * n))
-    ens = EnsembleSpec(n_atoms=n, phi=phi)
-    probe = ProbeConfig(i0=i0, x_t=math.pi / 4)
-    out = most_probable_outcome(probe)
-    pw = posterior_weights(ens, probe, out, method="second_order")
-    w, m = pw.normalized(), m_values(n)
-    var = float(np.dot(w, m * m) - np.dot(w, m) ** 2)
-    assert var == pytest.approx((n / 4.0) / (1.0 + prod), rel=1e-3)
-
-
 def test_posterior_exact_mean_shift_prediction():
     # Gaussian prediction <m> = (N/2) phi W / (1 + s); the analytic W has an
     # O(1/sqrt(I0)) error, so check at large I0 with a matched tolerance
@@ -176,19 +162,6 @@ def test_posterior_exact_mean_shift_prediction():
     assert mean_pred == pytest.approx(mean_exact, rel=0.10)
 
 
-def test_posterior_exact_tvd_vs_second_order_frozen():
-    # N=12, I0=9, phi=0.05, X=pi/4, most probable outcome: the two posterior
-    # diagonals agree to TVD < 0.02 (frozen independently derived value)
-    ens = EnsembleSpec(n_atoms=12, phi=0.05)
-    probe = ProbeConfig(i0=9.0, x_t=math.pi / 4)
-    out = most_probable_outcome(probe)
-    pe = posterior_weights(ens, probe, out, "exact").normalized()
-    ps = posterior_weights(ens, probe, out, "second_order").normalized()
-    tvd = 0.5 * float(np.abs(pe - ps).sum())
-    assert tvd == pytest.approx(0.0193618744874896, abs=1e-10)
-    assert tvd < 0.02
-
-
 def test_posterior_exact_caps_and_bad_method():
     probe = ProbeConfig(i0=10.0, x_t=math.pi / 4)
     out = most_probable_outcome(probe)
@@ -198,8 +171,10 @@ def test_posterior_exact_caps_and_bad_method():
         posterior_weights(
             EnsembleSpec(n_atoms=10, phi=1e-4), ProbeConfig(i0=1e5), out
         )
-    with pytest.raises(ValueError):
-        posterior_weights(EnsembleSpec(n_atoms=10, phi=1e-4), probe, out, "nope")
+    # "exact" is the only method; the closed form's expansion has no posterior
+    for method in ("nope", "second_order"):
+        with pytest.raises(ValueError, match="unknown method"):
+            posterior_weights(EnsembleSpec(n_atoms=10, phi=1e-4), probe, out, method)
 
 
 def test_posterior_exact_small_mean_at_most_probable_outcome():
@@ -214,7 +189,7 @@ def test_posterior_exact_small_mean_at_most_probable_outcome():
         assert abs(mean) <= 0.01 * math.sqrt(n)
 
 
-@pytest.mark.parametrize("method", ["exact", "second_order"])
+@pytest.mark.parametrize("method", ["exact"])
 @pytest.mark.parametrize("x_t", [math.pi / 8, math.pi / 2 - 0.01])
 def test_posterior_rows_equal_scalar_calls(method, x_t):
     # one call over an outcome array gives, row by row, the bits of the
@@ -235,7 +210,7 @@ def test_posterior_rows_equal_scalar_calls(method, x_t):
         assert rows.normalized()[j].tobytes() == one.normalized().tobytes()
 
 
-@pytest.mark.parametrize("method", ["exact", "second_order"])
+@pytest.mark.parametrize("method", ["exact"])
 def test_posterior_repeated_readings_equal_scalar_calls(method):
     # readings that repeat on either mode share one kernel row; near
     # X_t = pi/2 the alpha kernel takes the j0 branch on its band, where
@@ -248,7 +223,7 @@ def test_posterior_repeated_readings_equal_scalar_calls(method):
     i_alpha = [3.0, 3.0, 150.0, 3.0, 0.0, 150.0]
     i_beta = [200.0, 7.25, 200.0, 200.0, 7.25, 0.0]
     rows = posterior_weights(ens, probe, MeasurementOutcome(np.array(i_alpha), np.array(i_beta)), method)
-    assert (rows.offdiag_sign < 0).any() == (method == "exact")
+    assert (rows.offdiag_sign < 0).any()
     for j, (i_a, i_b) in enumerate(zip(i_alpha, i_beta)):
         one = posterior_weights(ens, probe, MeasurementOutcome(i_a, i_b), method)
         for name in ("log_w", "offdiag_logf", "offdiag_sign"):

@@ -447,6 +447,40 @@ def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):
     assert "numeric error" in err and "phi^2 * N" in err
 
 
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        # numpy's _ArrayMemoryError, as [sample] n_samples = 1e12 raises it
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                     "(1000000000000,) and data type int64"),
+         "numeric error: Unable to allocate 7.28 TiB for an array with shape "
+         "(1000000000000,) and data type int64"),
+        (MemoryError(), "numeric error: MemoryError"),
+    ],
+)
+def test_failed_allocation_exits_3(capsys, monkeypatch, exc, line):
+    # raised in place of a real allocation: on a host that overcommits
+    # memory an oversized np.empty can succeed and then get touched
+    def cmd_sample(section, seed):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_sample", cmd_sample)
+    code, out, err = run_main(["sample"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines() == [line]
+
+
+def test_fig3_oversized_grid_exits_3_before_building_it(tmp_path, capsys):
+    # 4 x (1e300)^2 rows pass no allocation, and the columns come before the
+    # offset list, whose 1e300 entries would fill memory first
+    cfg = write_config(tmp_path, "[fig3]\ngrid_points = 1e300\n")
+    code, out, err = run_main(["--config", cfg, "fig3"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines() == ["numeric error: Maximum allowed dimension exceeded"]
+
+
 def test_environment_sets_nothing(tmp_path, capsys, monkeypatch):
     # the flags are the only source of the seed and the format
     cfg = write_config(tmp_path, "[sample]\nn_samples = 5\n")
@@ -548,7 +582,7 @@ COUNT_KEYS = {
 }
 TEXT_KEYS = {"jx_mode", "method", "materials", "material"}
 FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300")
-#: no large counts: grid_points = 1e300 would build a list that long
+#: no large counts: fig4's eta_points = 1e300 would build a list that long
 COUNT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e-300")
 
 

@@ -7,6 +7,7 @@ from spinsq import (
     EnsembleSpec,
     MeasurementOutcome,
     ProbeConfig,
+    collective_moments,
     compare_report,
     conditional_xi_distribution,
     fock_moments,
@@ -189,15 +190,21 @@ def test_conditional_xi_quantiles_equal_separate_quantile_calls():
     assert t.quantiles == {q: float(np.quantile(xi, q)) for q in (0.25, 0.5, 0.75)}
 
 
+def one_outcome_reference(ens, probe, i_alpha, i_beta):
+    """collective_moments of one outcome's posterior: a path that shares no
+    code with oracle_xi's blocks above DickeWeights.moments."""
+    return collective_moments(posterior_weights(ens, probe, MeasurementOutcome(i_alpha, i_beta)))
+
+
 def test_exact_sampler_rows_are_oracle_xi_of_their_outcomes():
-    # each row holds the bits of a scalar oracle_xi call on its own outcome;
-    # at N = 400 the 300 rows span several oracle_xi blocks
+    # each row holds the bits of its own outcome's posterior moments; at
+    # N = 400 the 300 rows span several oracle_xi blocks
     ens = EnsembleSpec(n_atoms=400, phi=7.07e-3)
     probe = ProbeConfig(i0=100.0, x_t=0.7)
     assert 300 > 3 * (ORACLE_BLOCK // (2 * 400 + 1))
     t = conditional_xi_distribution(ens, probe, n_samples=300, seed=4, method="exact")
     expected = [
-        oracle_xi(ens, probe, MeasurementOutcome(a, b)).xi_sq for a, b in t.rows[:, :2].tolist()
+        one_outcome_reference(ens, probe, a, b).xi_sq for a, b in t.rows[:, :2].tolist()
     ]
     assert t.rows[:, 2].tobytes() == np.array(expected).tobytes()
 
@@ -213,11 +220,17 @@ def test_exact_sampler_rows_are_oracle_xi_of_their_outcomes():
 )
 def test_oracle_xi_on_an_outcome_array_equals_the_loop(ens, probe, i_alpha, i_beta):
     r = oracle_xi(ens, probe, MeasurementOutcome(np.array(i_alpha), np.array(i_beta)))
-    loop = [oracle_xi(ens, probe, MeasurementOutcome(a, b)) for a, b in zip(i_alpha, i_beta)]
+    loop = [one_outcome_reference(ens, probe, a, b) for a, b in zip(i_alpha, i_beta)]
     for field in ("jz2", "jx", "xi_sq", "jx_zero"):
         expected = np.array([getattr(one, field) for one in loop])
         assert getattr(r, field).tobytes() == expected.tobytes(), field
     assert r.jx_zero.any() == (ens.n_atoms == 2)
+    # a scalar outcome gives numpy scalars of the reference's types and bits
+    for (a, b), one in zip(zip(i_alpha, i_beta), loop):
+        scalar = oracle_xi(ens, probe, MeasurementOutcome(a, b))
+        for field in ("jz2", "jx", "xi_sq", "jx_zero"):
+            value, expected = getattr(scalar, field), getattr(one, field)
+            assert type(value) is type(expected) and value.tobytes() == expected.tobytes(), field
 
 
 def test_conditional_xi_distribution_exact_frozen():
