@@ -31,8 +31,9 @@ Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
 sampling runs and any warnings: auto-nudged singular phases, then the
 Python warnings raised while the subcommand ran.  Each subcommand returns
-its columns; the renderer formats each distinct value of a column once and
-streams the text to --out or stdout, which receive the same bytes.
+its columns; the renderer formats each distinct value of a column once,
+interleaves the columns' texts into one string per _BLOCK_ROWS rows and
+streams the strings to --out or stdout, which receive the same bytes.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ class Section:
 # ---------------------------------------------------------------------------
 
 #: rows formatted and written at a time; bounds the output text held in memory
-_BLOCK_ROWS = 8192
+_BLOCK_ROWS = 4096
 
 
 def _csv_text(value) -> str:
@@ -208,7 +209,7 @@ def _cell_texts(values, cell) -> list:
         # a finite float's text is its repr in every format; calling repr
         # directly saves a Python call per value
         texts = list(map(float.__repr__ if np.isfinite(floats).all() else cell, floats.tolist()))
-        return list(map(texts.__getitem__, inverse.tolist()))
+        return np.array(texts, dtype=object)[inverse].tolist()
     cache: dict = {}
     out = []
     for v in values:
@@ -222,13 +223,21 @@ def _cell_texts(values, cell) -> list:
     return out
 
 
-def _text_rows(columns: dict, cell):
-    """Yield the rows of ``columns`` as tuples of cell texts, one block of
-    _BLOCK_ROWS rows at a time."""
+def _text_blocks(columns: dict, cell, sep: str, end: str):
+    """Yield the rows of ``columns`` as one list of text pieces per _BLOCK_ROWS
+    rows; its join is the block, cells joined by ``sep`` and rows ended by ``end``."""
     n_rows = len(next(iter(columns.values()), ()))
+    if any(len(col) != n_rows for col in columns.values()):
+        raise ValueError("columns of unequal length")
+    width = 2 * len(columns)
     for start in range(0, n_rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield zip(*(_cell_texts(col[block], cell) for col in columns.values()), strict=True)
+        n = min(_BLOCK_ROWS, n_rows - start)
+        # a row takes width slots: cell, sep, cell, ..., cell, end
+        pieces = [sep] * (width * n)
+        for j, col in enumerate(columns.values()):
+            pieces[2 * j::width] = _cell_texts(col[start:start + n], cell)
+        pieces[width - 1::width] = [end] * n
+        yield pieces
 
 
 def _render(columns: dict, metadata: dict, fmt: str):
@@ -241,8 +250,8 @@ def _render(columns: dict, metadata: dict, fmt: str):
     if fmt == "csv":
         yield "".join(f"# {key} = {metadata[key]}\n" for key in sorted(metadata))
         yield ",".join(map(_csv_text, columns)) + "\n"
-        for rows in _text_rows(columns, _csv_text):
-            yield "\n".join(map(",".join, rows)) + "\n"
+        for pieces in _text_blocks(columns, _csv_text, ",", "\n"):
+            yield "".join(pieces)
         return
     empty = json.dumps(
         {"metadata": metadata, "columns": list(columns), "rows": []},
@@ -251,10 +260,11 @@ def _render(columns: dict, metadata: dict, fmt: str):
     )
     # the rows replace the "[]\n}" that ends the document without rows
     sep = opening = empty[: -len("[]\n}")] + "[\n"
-    for rows in _text_rows(columns, _json_text):
-        yield sep + ",\n".join(
-            "    [\n      " + ",\n      ".join(row) + "\n    ]" for row in rows
-        )
+    for pieces in _text_blocks(columns, _json_text, ",\n      ", "\n    ],\n    [\n      "):
+        # a block opens its first row and closes its last
+        pieces[0] = sep + "    [\n      " + pieces[0]
+        pieces[-1] = "\n    ]"
+        yield "".join(pieces)
         sep = ",\n"
     yield empty + "\n" if sep is opening else "\n  ]\n}\n"
 
@@ -308,12 +318,12 @@ def cmd_fig3(section: Section) -> tuple:
     check_phi2n(ens, refuse=True)
     nudges: list = []
     per_phase = grid_points * grid_points
-    # allocated before _linspace's list, so that an oversized grid fails at once
+    # allocated before the offsets, so that an oversized grid fails on its row count
     columns = {
         name: np.empty(len(x_t_list) * per_phase)
         for name in ("x_t", "i_alpha", "i_beta", "xi_sq")
     }
-    offsets = np.array(_linspace(-1.0, 1.0, grid_points))
+    offsets = _linspace(-1.0, 1.0, grid_points)
     for k, x_t_raw in enumerate(x_t_list):
         x_t = _nudge_singular(x_t_raw, nudges)
         probe = ProbeConfig(i0=i0, x_t=x_t)
@@ -351,11 +361,11 @@ def cmd_fig4(section: Section) -> tuple:
         for d in d_list
     ]
     columns = {
-        "model": [name for name, _, _ in curves for _ in etas],
-        "d": np.repeat([d for _, d, _ in curves], len(etas)),
+        "model": [name for name, _, _ in curves for _ in range(eta_points)],
+        "d": np.repeat([d for _, d, _ in curves], eta_points),
         "eta": np.tile(etas, len(curves)),
         "xi_prime_sq": np.array(
-            [xi_noisy(eta, d, model) for _, d, model in curves for eta in etas], dtype=float
+            [xi_noisy(eta, d, model) for _, d, model in curves for eta in etas.tolist()]
         ),
     }
     return columns, dict(section.used), EXIT_OK
@@ -474,11 +484,11 @@ _COMMANDS = {
 # helpers and entry point
 # ---------------------------------------------------------------------------
 
-def _linspace(lo: float, hi: float, n: int):
+def _linspace(lo: float, hi: float, n: int) -> np.ndarray:
     if n == 1:
-        return [0.5 * (lo + hi)]
+        return np.array([0.5 * (lo + hi)])
     step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    return lo + np.arange(n) * step
 
 
 def build_parser() -> argparse.ArgumentParser:

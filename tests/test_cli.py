@@ -92,7 +92,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "exit_codes.txt")
-    assert len(outputs) == 20
+    assert len(outputs) == 22
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
@@ -481,6 +481,19 @@ def test_fig3_oversized_grid_exits_3_before_building_it(tmp_path, capsys):
     assert err.splitlines() == ["numeric error: Maximum allowed dimension exceeded"]
 
 
+@pytest.mark.parametrize(
+    "d_lists", ["", "reidc_d =\nalkali_d =\ngrid_d =\n"], ids=["default_d", "no_curves"]
+)
+def test_fig4_oversized_eta_grid_exits_3_before_building_it(tmp_path, capsys, d_lists):
+    # with no curves the zero-row output arrays allocate, so only the eta
+    # grid can refuse the count
+    cfg = write_config(tmp_path, "[fig4]\neta_points = 1e300\n" + d_lists)
+    code, out, err = run_main(["--config", cfg, "fig4"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines() == ["numeric error: Maximum allowed size exceeded"]
+
+
 def test_environment_sets_nothing(tmp_path, capsys, monkeypatch):
     # the flags are the only source of the seed and the format
     cfg = write_config(tmp_path, "[sample]\nn_samples = 5\n")
@@ -531,14 +544,44 @@ def reference_text(columns, metadata, fmt):
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("block_rows", [3, 8192])
+@pytest.mark.parametrize("block_rows", [1, 3, 8192])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("n_rows", [0, 8])
 def test_render_matches_row_by_row_reference(monkeypatch, block_rows, fmt, n_rows):
     monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     columns = {name: values[:n_rows] for name, values in TRICKY_COLUMNS.items()}
-    text = "".join(cli._render(columns, TRICKY_META, fmt))
-    assert text == reference_text(columns, TRICKY_META, fmt)
+    for table in (columns, {"special": columns["special"]}):
+        text = "".join(cli._render(table, TRICKY_META, fmt))
+        assert text == reference_text(table, TRICKY_META, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "lengths", [(8, 7), (7, 8), (6, 7)], ids=["first_longer", "first_shorter", "past_last_block"]
+)
+def test_render_refuses_columns_of_unequal_length(monkeypatch, fmt, lengths):
+    # (6, 7) with 3-row blocks: the extra row lies past the first column's
+    # last block, where no block would meet it
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+    columns = {
+        "signed_zero": TRICKY_COLUMNS["signed_zero"][: lengths[0]],
+        "text": TRICKY_COLUMNS["text"][: lengths[1]],
+    }
+    with pytest.raises(ValueError, match="unequal length"):
+        "".join(cli._render(columns, TRICKY_META, fmt))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sample_columns_render_as_the_reference(fmt):
+    # cmd_sample's columns are strided views of its (n, 3) table, over
+    # three render blocks here
+    config = configparser.ConfigParser()
+    config.read_string(f"[sample]\nn_samples = {2 * cli._BLOCK_ROWS + 5}\n")
+    columns, meta, code = cli.cmd_sample(cli.Section(config, "sample"), seed=5)
+    assert code == EXIT_OK
+    assert not any(col.flags.c_contiguous for col in columns.values())
+    text = "".join(cli._render(columns, meta, fmt))
+    assert text == reference_text(columns, meta, fmt)
 
 
 #: small configs that exercise every subcommand
@@ -582,8 +625,9 @@ COUNT_KEYS = {
 }
 TEXT_KEYS = {"jx_mode", "method", "materials", "material"}
 FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300")
-#: no large counts: fig4's eta_points = 1e300 would build a list that long
-COUNT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e-300")
+#: 1e300 is refused before anything that size is built; no count between
+#: that and the small ones is tried, since it could allocate for real
+COUNT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e-300", "1e300")
 
 
 def test_every_numeric_key_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):

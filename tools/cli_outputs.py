@@ -14,8 +14,10 @@ either mode, which takes the exact kernel to arguments near 1e9, and
 d > 2 of the closed-form optimal eta, so ``eta_optimal`` searches, clamps
 eta to 1e-9 and the row is flagged, and ``sample_exact.csv`` and ``.json``:
 the default ``sample`` with ``method = exact`` and 200 draws, which the
-exact oracle evaluates in several blocks.  ``exit_codes.txt`` lists each
-run's exit code.
+exact oracle evaluates in several blocks, and ``sample_10000.csv`` and
+``.json``: the default ``sample`` with 10,000 draws, whose columns are strided
+views of one table and span three render blocks.  ``exit_codes.txt`` lists
+each run's exit code.
 
 The package is imported from SRC, by default the ``src/`` directory of the
 checkout this script sits in.  Comparing two versions of the output is
@@ -46,6 +48,7 @@ EXTRA_RUNS = {
     ),
     "plan_d_1p5": ("plan", "[plan]\nd = 1.5\n"),
     "sample_exact": ("sample", "[sample]\nmethod = exact\nn_samples = 200\n"),
+    "sample_10000": ("sample", "[sample]\nn_samples = 10000\n"),
 }
 
 
