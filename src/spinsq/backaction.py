@@ -29,11 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import DickeWeights, EnsembleSpec, log_binomial_weights, m_values
-from .probe import EPS_SING, ProbeConfig, intensity_moments_approx, mode_amplitudes
+from .probe import ProbeConfig, intensity_moments_approx, mode_amplitudes
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
 ORACLE_I0_CAP = 1e4
+
+
+#: proximity threshold to the singular phases {0, pi/2, pi, ...}
+EPS_SING = 1e-6
 
 
 class SingularPhase(ValueError):
@@ -103,13 +107,9 @@ def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCo
     """
     i0, x = probe.i0, probe.x_t
     c, s = math.cos(x), math.sin(x)
-    if abs(c) < EPS_SING:
+    if min(abs(c), abs(s)) < EPS_SING:
         raise SingularPhase(
-            f"|cos(x_t)| = {abs(c):.3g} < {EPS_SING:g}; expansion divides by cos(x_t)"
-        )
-    if abs(s) < EPS_SING:
-        raise SingularPhase(
-            f"|sin(x_t)| = {abs(s):.3g} < {EPS_SING:g}; expansion divides by sin(x_t)"
+            f"x_t = {x!r} is within {EPS_SING:g} of a singular phase of the expansion"
         )
     ra = np.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
     rb = np.sqrt(out.i_beta / i0) if i0 > 0 else 0.0

@@ -13,13 +13,14 @@ Options: --config PATH (INI file, one section per subcommand), --out PATH,
 --seed U64 (default 0), --format {csv,json} (default csv).  The flags are
 the only source of these settings; no environment variable is read.
 
-Exit codes: 0 success; 2 configuration error (including a key in the
-subcommand's own section that it does not read, a count key -- grid_points,
-eta_points, n_atoms, n_samples -- that is not a whole number at or above
-its minimum, an empty fig3 x_t or oracle-report grid list, a materials file
-that cannot be read or holds an invalid preset -- an unknown key, or a
-value that is not finite and > 0 -- and an --out file that cannot be
-opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
+Exit codes: 0 success; 2 configuration error (including a config file that
+is not UTF-8, a value holding % (values are read as written, without
+interpolation), a key in the subcommand's own section that it does not
+read, a count key -- grid_points, eta_points, n_atoms, n_samples -- that is
+not a whole number at or above its minimum, an empty fig3 x_t or
+oracle-report grid list, a materials file that cannot be read or holds an
+invalid preset -- an unknown key, or a value that is not finite and > 0 --
+and an --out file that cannot be opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
 in fig3 and second-order sample, a non-finite x_t or optical depth, a
 plan whose N, I0 or detuning is not finite, and an allocation that fails);
 4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
@@ -29,8 +30,9 @@ line.
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
-sampling runs and any warnings: auto-nudged singular phases, then the
-Python warnings raised while the subcommand ran.  Each subcommand returns
+sampling runs and every warning raised while the subcommand ran, such as a
+nudged singular phase or the phi^2 N warning of oracle-report, in the order
+raised, each message once, also printed on stderr.  Each subcommand returns
 its columns; the renderer formats each distinct value of a column once,
 interleaves the columns' texts into one string per _BLOCK_ROWS rows and
 streams the strings to --out or stdout, which receive the same bytes.
@@ -50,7 +52,7 @@ import warnings
 
 import numpy as np
 
-from .backaction import MeasurementOutcome, offset_outcomes
+from .backaction import EPS_SING, MeasurementOutcome, offset_outcomes
 from .dicke import EnsembleSpec
 from .oracle import (
     DEFAULT_GRID,
@@ -60,7 +62,7 @@ from .oracle import (
     conditional_xi_distribution,
 )
 from .planner import GeometrySpec, load_materials, plan, table1
-from .probe import EPS_SING, ProbeConfig, check_phi2n
+from .probe import ProbeConfig, check_phi2n
 from .squeezing import (
     ALKALI,
     REIDC,
@@ -95,11 +97,11 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _load_config(path: str | None) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path:
         try:
             read = parser.read(path)
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from exc
         if not read:
             raise ConfigError(f"config file not found: {path}")
@@ -287,14 +289,14 @@ def _emit(chunks, out_path: str | None):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _nudge_singular(x_t: float, nudges: list) -> float:
-    """Push x_t off the singular set {k pi/2} by 2 * EPS_SING if needed;
-    a non-finite x_t is returned as is, for ProbeConfig to refuse."""
+def _nudge_singular(x_t: float) -> float:
+    """Push x_t off the singular set {k pi/2} by 2 * EPS_SING if needed, with
+    a UserWarning; a non-finite x_t is returned as is, for ProbeConfig to refuse."""
     if not math.isfinite(x_t) or min(abs(math.cos(x_t)), abs(math.sin(x_t))) >= EPS_SING:
         return x_t
     quadrant = round(x_t / (math.pi / 2.0))
     nudged = quadrant * (math.pi / 2.0) + 2.0 * EPS_SING
-    nudges.append(
+    warnings.warn(
         f"x_t = {x_t!r} is within {EPS_SING:g} of a singular phase; "
         f"nudged to {nudged!r}"
     )
@@ -316,7 +318,6 @@ def cmd_fig3(section: Section) -> tuple:
     phi = phi_from_eta_d(eta, d, n_atoms, i0)
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
     check_phi2n(ens, refuse=True)
-    nudges: list = []
     per_phase = grid_points * grid_points
     # allocated before the offsets, so that an oversized grid fails on its row count
     columns = {
@@ -325,7 +326,7 @@ def cmd_fig3(section: Section) -> tuple:
     }
     offsets = _linspace(-1.0, 1.0, grid_points)
     for k, x_t_raw in enumerate(x_t_list):
-        x_t = _nudge_singular(x_t_raw, nudges)
+        x_t = _nudge_singular(x_t_raw)
         probe = ProbeConfig(i0=i0, x_t=x_t)
         axes = offset_outcomes(ens, probe, offsets, offsets)
         # i_alpha steps along the outer grid axis, i_beta along the inner one
@@ -340,7 +341,6 @@ def cmd_fig3(section: Section) -> tuple:
         columns["xi_sq"][rows] = xi_closed_form_array(ens, probe, out, jx_mode=jx_mode)
     meta = dict(section.used)
     meta["phi"] = phi
-    meta["warnings"] = nudges
     return columns, meta, EXIT_OK
 
 
@@ -505,37 +505,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        args = build_parser().parse_args(argv)
         if args.seed < 0 or args.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    section = Section(config, args.command)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            columns, meta, code = _COMMANDS[args.command](section, args)
-            section.check_all_read()
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, ArithmeticError, MemoryError) as exc:
-        print(f"numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return EXIT_NUMERIC
-
-    raised = list(dict.fromkeys(str(w.message) for w in caught))
-    for message in raised:
-        print(f"warning: {message}", file=sys.stderr)
-    notes = meta.pop("warnings", []) + raised
-    if notes:
-        meta["warnings"] = "; ".join(notes)
-    meta.setdefault("command", args.command)
-    meta.setdefault("format", args.format)
-    try:
+        section = Section(_load_config(args.config), args.command)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                columns, meta, code = _COMMANDS[args.command](section, args)
+        except (ValueError, ArithmeticError, MemoryError) as exc:
+            print(f"numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+            return EXIT_NUMERIC
+        section.check_all_read()
+        raised = list(dict.fromkeys(str(w.message) for w in caught))
+        for message in raised:
+            print(f"warning: {message}", file=sys.stderr)
+        if raised:
+            meta["warnings"] = "; ".join(raised)
+        meta.setdefault("command", args.command)
+        meta.setdefault("format", args.format)
         _emit(_render(columns, meta, args.format), args.out)
         sys.stdout.flush()
     except ConfigError as exc:

@@ -129,7 +129,7 @@ def load_materials(path=None) -> dict:
     molar_mass, doping or absorption, or with a key that names no field of
     either, raises ValueError.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if path is None:
         text = (
             resources.files("spinsq").joinpath("data/materials.txt").read_text()

@@ -25,9 +25,6 @@ import numpy as np
 
 from .dicke import EnsembleSpec, css_log_weights, m_values
 
-#: proximity threshold to the singular phases {0, pi/2, pi, ...}
-EPS_SING = 1e-6
-
 #: phi^2 N above which the second-order expansion no longer holds (check_phi2n)
 PHI2N_WARN = 0.1
 

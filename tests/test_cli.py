@@ -91,8 +91,10 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
         [sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    outputs = sorted(p.name for p in tmp_path.iterdir() if p.name != "exit_codes.txt")
+    logs = ("exit_codes.txt", "stderr.txt")
+    outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
     assert len(outputs) == 22
+    assert (tmp_path / "stderr.txt").is_file()
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
@@ -115,14 +117,20 @@ def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
 
 
 def test_fig3_singular_phase_nudged(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "[fig3]\nn_atoms = 100\ni0 = 50\nd = 4\neta = 0.5\ngrid_points = 2\nx_t = 0.0\n",
-    )
-    code, out, _ = run_main(["--config", cfg, "fig3"], capsys)
-    assert code == EXIT_OK
-    meta, _, _ = parse_csv(out)
-    assert "nudged" in meta.get("warnings", "")
+    # the nudge is a warning like any other: on stderr and in the metadata,
+    # each message once, so a repeated phase gives one note
+    note = "x_t = 0.0 is within 1e-06 of a singular phase; nudged to 2e-06"
+    for x_t in ("0.0", "0 0"):
+        cfg = write_config(
+            tmp_path,
+            f"[fig3]\nn_atoms = 100\ni0 = 50\nd = 4\neta = 0.5\ngrid_points = 2\nx_t = {x_t}\n",
+        )
+        code, out, err = run_main(["--config", cfg, "fig3"], capsys)
+        assert code == EXIT_OK
+        assert err == f"warning: {note}\n"
+        meta, _, rows = parse_csv(out)
+        assert meta["warnings"] == note
+        assert {r[0] for r in rows} == {"2e-06"}
 
 
 def test_fig3_outside_second_order_regime_exits_3(tmp_path, capsys):
@@ -284,6 +292,9 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         ("oracle-report", "[oracle-report]\ni0 =\n"),
         ("oracle-report", "[oracle-report]\nproduct = ,\n"),
         ("oracle-report", "[oracle-report]\nx_t =\n"),
+        # values are read as written: a % is no interpolation syntax
+        ("fig3", "[fig3]\ngrid_points = 5%\n"),
+        ("fig3", "[fig3]\nx_t = %(foo)s\n"),
     ):
         cfg = write_config(tmp_path, text)
         code, out, err = run_main(["--config", cfg, command], capsys)
@@ -291,8 +302,17 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
         assert out == ""
         assert "error:" in err and "numeric" not in err
         assert len(err.splitlines()) == 1, err
-        if text.rstrip(" ,\n").endswith("="):
+        if text.rstrip(" ,\n").endswith("=") or "%" in text:
             assert text.split("\n")[1].split()[0] in err, err
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.ini"
+    path.write_bytes(b"[fig3]\nx_t = \xff\n")
+    code, out, err = run_main(["--config", str(path), "fig3"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1, err
 
 
 def test_empty_fig4_d_list_leaves_that_model_out(tmp_path, capsys):
@@ -317,7 +337,13 @@ def test_closed_stdout_exits_5_without_a_traceback(tmp_path):
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OUTPUT
-    assert err == "error: stdout closed before the output was complete\n"
+    # the default phases 0 and pi/2 are nudged before any output is written
+    assert err == (
+        "warning: x_t = 0.0 is within 1e-06 of a singular phase; nudged to 2e-06\n"
+        "warning: x_t = 1.5707963267948966 is within 1e-06 of a singular phase; "
+        "nudged to 1.5707983267948966\n"
+        "error: stdout closed before the output was complete\n"
+    )
 
 
 def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):

@@ -17,7 +17,8 @@ the default ``sample`` with ``method = exact`` and 200 draws, which the
 exact oracle evaluates in several blocks, and ``sample_10000.csv`` and
 ``.json``: the default ``sample`` with 10,000 draws, whose columns are strided
 views of one table and span three render blocks.  ``exit_codes.txt`` lists
-each run's exit code.
+each run's exit code, and ``stderr.txt`` each line that a run wrote to
+stderr, as ``<stem>.<format>: <line>``.
 
 The package is imported from SRC, by default the ``src/`` directory of the
 checkout this script sits in.  Comparing two versions of the output is
@@ -53,11 +54,11 @@ EXTRA_RUNS = {
 
 
 def run(cli, argv) -> tuple:
-    """(exit code, stdout text) of one in-process ``spinsq`` run."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    """(exit code, stdout text, stderr text) of one in-process ``spinsq`` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, buf.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main(argv=None) -> int:
@@ -74,7 +75,7 @@ def main(argv=None) -> int:
     args.outdir.mkdir(parents=True, exist_ok=True)
     runs = [(command, command, None) for command in COMMANDS]
     runs += [(stem, command, config) for stem, (command, config) in EXTRA_RUNS.items()]
-    codes = []
+    codes, errs = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for stem, command, config in runs:
             options = []
@@ -83,10 +84,12 @@ def main(argv=None) -> int:
                 ini.write_text(config)
                 options = ["--config", str(ini)]
             for fmt in ("csv", "json"):
-                code, text = run(cli, options + ["--seed", "0", "--format", fmt, command])
+                code, text, err = run(cli, options + ["--seed", "0", "--format", fmt, command])
                 (args.outdir / f"{stem}.{fmt}").write_text(text)
                 codes.append(f"{stem}.{fmt} {code}\n")
+                errs += [f"{stem}.{fmt}: {line}\n" for line in err.splitlines()]
     (args.outdir / "exit_codes.txt").write_text("".join(codes))
+    (args.outdir / "stderr.txt").write_text("".join(errs))
     return 0
 
 
