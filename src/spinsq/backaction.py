@@ -113,6 +113,7 @@ def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCo
         )
     ra = np.sqrt(out.i_alpha / i0) if i0 > 0 else 0.0
     rb = np.sqrt(out.i_beta / i0) if i0 > 0 else 0.0
+    # W is a difference of terms of order I0: regrouping its factors moves xi^2 by ~2e-10
     w = 2.0 * i0 * (
         ra * s * c / abs(c) + rb * c * s / abs(s) - 2.0 * math.sin(2.0 * x)
     )

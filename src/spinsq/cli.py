@@ -25,8 +25,8 @@ in fig3 and second-order sample, a non-finite x_t or optical depth, a
 plan whose N, I0 or detuning is not finite, and an allocation that fails);
 4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
 setting moves, including a row whose relative error is not finite); 5
-stdout closed early (``spinsq fig3 | head -1``), reported on one stderr
-line.
+output could not be written, including stdout closed early (``spinsq fig3
+| head -1``, ``spinsq table1 > /dev/full``), reported on one stderr line.
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for
@@ -525,18 +525,25 @@ def main(argv=None) -> int:
             meta["warnings"] = "; ".join(raised)
         meta.setdefault("command", args.command)
         meta.setdefault("format", args.format)
-        _emit(_render(columns, meta, args.format), args.out)
-        sys.stdout.flush()
+        try:
+            _emit(_render(columns, meta, args.format), args.out)
+            sys.stdout.flush()
+        except OSError as exc:
+            if args.out:
+                message = f"cannot write --out {args.out}: {exc}"
+            else:
+                # devnull takes the flush at interpreter exit, which would fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                closed = isinstance(exc, BrokenPipeError)
+                message = "stdout " + (
+                    "closed before the output was complete" if closed
+                    else f"could not be written: {exc}"
+                )
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_OUTPUT
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BrokenPipeError:
-        if args.out:
-            raise
-        # the reader is gone: devnull takes the flush at interpreter exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: stdout closed before the output was complete", file=sys.stderr)
-        return EXIT_OUTPUT
     return code
 
 

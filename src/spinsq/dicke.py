@@ -109,10 +109,12 @@ class SqueezingResult:
     def from_moments(cls, n_atoms: int, jz2, jx) -> SqueezingResult:
         """xi^2 from the moments, elementwise over arrays of outcomes; a
         vanishing <Jx> gives +inf flagged ``jx_zero``, an overflow raises."""
-        # float_power squares with the C library's pow, as Python's ** does
-        # (np.square and x * x round some squares differently); <Jx> <= 0 is
-        # zeroed, so that N <Jz^2> / 0 gives the +inf sentinel
-        xi_sq = n_atoms * jz2 / np.float_power(jx * (jx > 0), 2.0)
+        # <Jx> <= 0 is zeroed, so that N <Jz^2> / 0 gives the +inf sentinel;
+        # np.multiply keeps a Python-float <Jx> (the shortcut's N/2) in numpy,
+        # so that its square's overflow raises.  j * j is the correctly
+        # rounded square, which the C library's pow is not
+        j = np.multiply(jx, jx > 0)
+        xi_sq = n_atoms * jz2 / (j * j)
         return cls(jz2=jz2, jx=jx, xi_sq=xi_sq, jx_zero=jx <= 0)
 
 

@@ -5,10 +5,12 @@ Gaussian integrals over the real line:
 
     <Jz^2> = int x^2 e^{-a x^2 + b x} / int e^{-a x^2 + b x}
            = (N/4) [ 1/(1+s) + N phi^2 W^2 / (1+s)^2 ],   s = N phi^2 lambda / 2,
-    <Jx>   = e^{Y phi^2 + W phi} int (N/2 - x) e^{-a x^2 + b' x} / int e^{-a x^2 + b x},
+    <Jx>   = e^{Y phi^2 + W phi} int (N/2 - x) e^{-a x^2 + b' x} / int e^{-a x^2 + b x}
+           = e^{Y phi^2 + (W phi + s lambda phi^2 / 4) / q} [N/2 + N (lambda phi^2 - 2 W phi) / 4q],
 
-with a = 2/N + lambda phi^2, b = 2 W phi, b' = b - lambda phi^2, both
-evaluated in closed form by ``closed_form_moments``.  For N >> 1 and
+with q = 1 + s, a = 2/N + lambda phi^2 = 2q/N, b = 2 W phi, b' = b - lambda phi^2:
+b'^2 - b^2 = -lambda phi^2 (2b - lambda phi^2) folds the ratio's e^{(b'^2 - b^2)/4a}
+into one exponential, where the W phi terms cancel to W phi / q.  For N >> 1 and
 I0 ~ O(N) the <Jx> factor collapses to the shortcut N/2, in which case the
 most probable outcome (W = 0, lambda = 4 I0) yields the canonical
 
@@ -62,24 +64,25 @@ def closed_form_moments(
     ens: EnsembleSpec, coef: ExpansionCoeffs, jx_mode: str = "exact"
 ) -> SqueezingResult:
     """<Jz^2>, <Jx>, xi^2 from expansion coefficients via Gaussian integrals,
-    elementwise over array coefficients; an overflow raises FloatingPointError."""
+    elementwise over array coefficients.  With a = 2q/N, <Jx> has the one
+    exponential e^{Y phi^2 + (W phi + s lambda phi^2 / 4) / q}, which holds
+    W phi past e^{W phi}'s own range.  An overflow raises FloatingPointError:
+    of that exponential, of q * q, of <Jx>^2 or of any product on the way."""
     n, phi = ens.n_atoms, ens.phi
     lam, w, y = coef.lam, coef.w, coef.y
-    s = n * phi * phi * lam / 2.0
-    jz2 = (n / 4.0) * (
-        1.0 / (1.0 + s) + n * phi * phi * w * w / np.float_power(1.0 + s, 2.0)
-    )
+    phi2 = phi * phi
+    # np.multiply: a numpy lambda phi^2, float coefficients included, so that
+    # q * q raises on overflow (as (1/q)**2 would not: 1/q underflows unseen)
+    lam_phi2, w_phi = np.multiply(lam, phi2), w * phi
+    s = (n / 2.0) * lam_phi2
+    q = 1.0 + s
+    jz2 = (n / 4.0) * (1.0 / q + (n * phi2) * w * w / (q * q))
 
     if jx_mode == "shortcut":
         jx = n / 2.0
     elif jx_mode == "exact":
-        a = 2.0 / n + lam * phi * phi
-        b = 2.0 * w * phi
-        bp = b - lam * phi * phi
-        jx = (
-            np.exp(y * phi * phi + w * phi)
-            * ((-bp + a * n) / (2.0 * a))
-            * np.exp((bp * bp - b * b) / (4.0 * a))
+        jx = np.exp(y * phi2 + (w_phi + s * lam_phi2 / 4.0) / q) * (
+            n / 2.0 + (n / 4.0) * (lam_phi2 - 2.0 * w_phi) / q
         )
     else:
         raise ValueError(f"unknown jx_mode {jx_mode!r}")

@@ -55,6 +55,58 @@ def test_console_script_installed():
         assert cmd in proc.stdout
 
 
+def _write_outputs(root, model="reidc", xi="0.25", rows=2, codes="fig4.csv 0\n"):
+    """A tools/cli_outputs.py-like directory: one CSV and one JSON output of
+    ``rows`` rows, whose first row holds ``model`` and ``xi``, and exit codes."""
+    cells = [[model, "10.0", xi], ["alkali", "20.0", "0.5"]][:rows]
+    root.mkdir()
+    (root / "fig4.csv").write_text(
+        "# command = fig4\n# eta_points = 2\nmodel,d,xi_prime_sq\n"
+        + "".join(",".join(row) + "\n" for row in cells)
+    )
+    (root / "fig4.json").write_text(json.dumps({
+        "metadata": {"command": "fig4", "eta_points": 2},
+        "columns": ["model", "d", "xi_prime_sq"],
+        "rows": [[m, float(d), float(x)] for m, d, x in cells],
+    }))
+    (root / "exit_codes.txt").write_text(codes)
+    return str(root)
+
+
+def _compare_outputs(before, after):
+    tool = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+    return subprocess.run(
+        [sys.executable, str(tool), before, after], capture_output=True, text=True
+    )
+
+
+def test_compare_outputs_tool_counts_numeric_changes_per_column(tmp_path):
+    before = _write_outputs(tmp_path / "before")
+    after = _write_outputs(tmp_path / "after", xi="0.2500000000000001")
+    proc = _compare_outputs(before, after)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = {tuple(line.split()[:2]): line for line in proc.stdout.splitlines()}
+    for name in ("fig4.csv", "fig4.json"):
+        assert lines[name, "xi_prime_sq"].split()[2:] == ["1", "/", "2", "max", "rel", "4.4e-16"]
+        assert lines[name, "model"].split()[2:] == ["0", "/", "2", "max", "rel", "-"]
+        assert lines[name, "#"].split()[3:5] == ["0", "/"]
+    assert "identical" in lines["exit_codes.txt", "(lines)"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"model": "other"}, {"rows": 1}, {"codes": "fig4.csv 3\n"}, {"xi": "inf"}, None],
+    ids=["text_cell", "row_count", "exit_code", "non_finite", "missing_file"],
+)
+def test_compare_outputs_tool_fails_on_anything_but_a_numeric_change(tmp_path, change):
+    # a text cell, a row count, an exit code, a non-finite cell, a missing file
+    before = _write_outputs(tmp_path / "before")
+    after = _write_outputs(tmp_path / "after", **(change or {}))
+    if change is None:
+        (tmp_path / "after" / "fig4.json").unlink()
+    assert _compare_outputs(before, after).returncode == 1
+
+
 #: run in a fresh interpreter: the default non-oracle subcommands load no
 #: scipy module, and oracle-report, an exact path, loads scipy.special
 SCIPY_GUARD = """
@@ -344,6 +396,31 @@ def test_closed_stdout_exits_5_without_a_traceback(tmp_path):
         "nudged to 1.5707983267948966\n"
         "error: stdout closed before the output was complete\n"
     )
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "options, line",
+    [
+        ([], "error: stdout could not be written: [Errno 28] No space left on device"),
+        (
+            ["--out", "/dev/full"],
+            "error: cannot write --out /dev/full: [Errno 28] No space left on device",
+        ),
+    ],
+    ids=["stdout", "out"],
+)
+def test_failed_output_write_exits_5_without_a_traceback(options, line):
+    # spinsq table1 > /dev/full, and spinsq --out /dev/full table1: each
+    # write fails with ENOSPC once the output is flushed
+    src = Path(cli.__file__).resolve().parent.parent
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinsq.cli", *options, "table1"],
+            stdout=full, stderr=subprocess.PIPE, text=True, cwd=src,
+        )
+    assert proc.returncode == EXIT_OUTPUT
+    assert proc.stderr.splitlines() == [line]
 
 
 def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -21,7 +22,8 @@ from spinsq import (
     xi_noisy,
 )
 from spinsq.squeezing import CLOSED_FORM_BLOCK, closed_form_moments, xi_closed_form_array
-from spinsq.backaction import ExpansionCoeffs
+from spinsq.backaction import ExpansionCoeffs, expansion_coeffs
+from spinsq.oracle import sample_outcome
 
 
 def test_gaussian_integrals_against_quadrature():
@@ -108,6 +110,66 @@ def test_closed_form_moments_broadcast_sentinel_and_overflow():
     huge = ExpansionCoeffs(w=np.array([0.0, 1e4]), y=np.zeros(2), z=np.zeros(2))
     with pytest.raises(FloatingPointError):
         closed_form_moments(EnsembleSpec(n_atoms=100, phi=1.0), huge, jx_mode="exact")
+
+
+def _gaussian_integral_moments(n, phi, w, y, z):
+    """(<Jz^2>, <Jx>) of the Gaussian integrals in a, b and b' (squeezing's
+    module docstring), two exponentials apart, at mpmath's working precision."""
+    n, phi, w, y, z = (mpmath.mpf(v) for v in (n, phi, w, y, z))
+    lam = -2 * y - z
+    s = n * phi**2 * lam / 2
+    jz2 = n / 4 * (1 / (1 + s) + n * phi**2 * w**2 / (1 + s) ** 2)
+    a, b = 2 / n + lam * phi**2, 2 * w * phi
+    bp = b - lam * phi**2
+    jx = mpmath.exp(y * phi**2 + w * phi) * (a * n - bp) / (2 * a)
+    return jz2, jx * mpmath.exp((bp**2 - b**2) / (4 * a))
+
+
+def test_closed_form_matches_mpmath_on_sampled_outcomes():
+    # sampled outcomes at desk scale and at N = 6e10, I0 = 1e11; the floats
+    # W, Y, Z of expansion_coeffs are the exact inputs of a 50-digit
+    # reference.  Two exponentials whose exponents largely cancel, and
+    # squares by pow, would leave exact-mode rows up to ~5e-14 off
+    rng = np.random.default_rng(1)
+    cases = [
+        (n, i0, eta_d)
+        for n in (100, 400, 2000)
+        for i0 in (50.0, 100.0, 1e4)
+        for eta_d in (0.5, 1.0, 4.0, 12.8)
+    ] + [(60_000_000_000, 1e11, 12.8)] * 8
+    for n, i0, eta_d in cases:
+        ens = EnsembleSpec(n_atoms=n, phi=phi_from_eta_d(1.0, eta_d, n, i0))
+        probe = ProbeConfig(i0=i0, x_t=rng.uniform(0.05, 1.52))
+        coef = expansion_coeffs(probe, sample_outcome(ens, probe, rng, size=24))
+        exact = closed_form_moments(ens, coef, jx_mode="exact")
+        shortcut = closed_form_moments(ens, coef, jx_mode="shortcut")
+        with mpmath.workdps(50):
+            for k in range(coef.w.size):
+                jz2, jx = _gaussian_integral_moments(n, ens.phi, coef.w[k], coef.y[k], coef.z[k])
+                pairs = (
+                    (exact.jz2[k], jz2), (exact.jx[k], jx), (exact.xi_sq[k], n * jz2 / jx**2),
+                    (shortcut.jz2[k], jz2), (shortcut.xi_sq[k], 4 * jz2 / n),
+                )
+                for got, want in pairs:
+                    assert abs(mpmath.mpf(got) / want - 1) < 1e-14, (n, i0, eta_d, k)
+
+
+def test_one_exponential_extends_the_domain_and_other_overflows_raise():
+    # W phi = 800 overflows e^{W phi}, while the whole exponent of <Jx>,
+    # with lambda = 2000 and q = 1001, is 5.79; the value is mpmath's
+    ens = EnsembleSpec(n_atoms=100, phi=0.1)
+    r = closed_form_moments(ens, ExpansionCoeffs(w=8000.0, y=0.0, z=-2000.0))
+    assert r.jx == pytest.approx(3461.06683310710789, rel=1e-12)
+    assert math.isfinite(r.xi_sq) and not r.jx_zero
+    # q * q past the float range still raises, float coefficients included
+    for mode in ("exact", "shortcut"):
+        with pytest.raises(FloatingPointError):
+            closed_form_moments(ens, ExpansionCoeffs(0.0, 0.0, -1e160), mode)
+    # and so does the square of the shortcut's <Jx> = N/2, a float: N = 5e154
+    # and q = 100 keep N <Jz^2> = N^2 / 4q finite, while (N/2)^2 is not
+    huge = EnsembleSpec(n_atoms=5 * 10**154, phi=1e-154)
+    with pytest.raises(FloatingPointError):
+        closed_form_moments(huge, ExpansionCoeffs(0.0, 0.0, -3.96e155), "shortcut")
 
 
 def test_xi_most_probable():

@@ -27,6 +27,9 @@ then two runs and a diff::
     python3 tools/cli_outputs.py --src /path/to/other/checkout/src before
     python3 tools/cli_outputs.py after
     diff -r before after
+
+and ``tools/compare_outputs.py before after`` says which cells moved, and
+how far, when they are not byte-identical.
 """
 
 from __future__ import annotations
