@@ -125,24 +125,22 @@ def expansion_coeffs(probe: ProbeConfig, out: MeasurementOutcome) -> ExpansionCo
 def _log_kernel(x):
     """(log|S|, sign) for S(x) = sum_n x^n / (n!)^2, elementwise over x.
 
-    S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0, each
-    evaluated only on its own elements; a scalar x gives numpy scalars.
+    S(x) = I_0(2 sqrt(x)) for x >= 0 and J_0(2 sqrt(-x)) for x < 0.  The
+    I_0 form is taken on every element, and J_0 overwrites the negative
+    ones when there are any; a scalar x gives numpy scalars.
     """
     from scipy.special import i0e, j0  # local: only the exact paths pay for scipy
 
     x = np.asarray(x, dtype=float)
     z = 2.0 * np.sqrt(np.abs(x))
+    # asarray: a 0-d z gives a numpy scalar, which J_0 could not overwrite
+    log_s, sign = np.asarray(np.log(i0e(z)) + z), np.ones(z.shape)
     neg = x < 0
-    if not neg.any():
-        return (np.log(i0e(z)) + z)[()], np.ones(z.shape)[()]
-    log_s, sign = np.empty(z.shape), np.ones(z.shape)
-    pos = ~neg
-    z_pos = z[pos]
-    log_s[pos] = np.log(i0e(z_pos)) + z_pos
-    s = j0(z[neg])
-    with np.errstate(divide="ignore"):
-        log_s[neg] = np.log(np.abs(s))
-    sign[neg] = np.sign(s)
+    if neg.any():
+        s = j0(z[neg])
+        with np.errstate(divide="ignore"):
+            log_s[neg] = np.log(np.abs(s))
+        sign[neg] = np.sign(s)
     return log_s[()], sign[()]
 
 

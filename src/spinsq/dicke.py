@@ -121,8 +121,7 @@ class SqueezingResult:
 @functools.lru_cache(maxsize=8)
 def log_binomial_weights(n_atoms: int) -> np.ndarray:
     """Read-only log C(N, N/2 + m) / 2^N, exactly symmetric in m.  The cache
-    keeps 8 atom counts of N + 1 floats each: <= 128 KiB up to ORACLE_N_CAP,
-    but up to 8 MB per entry at ``intensity_moments_exact``'s EXACT_SUM_CAP."""
+    keeps 8 atom counts of N + 1 floats each: <= 128 KiB up to ORACLE_N_CAP."""
     from scipy.special import gammaln  # local: only the exact paths pay for scipy
 
     log_k_fact = gammaln(np.arange(1, n_atoms + 2))  # log k! for k = 0 .. n

@@ -9,10 +9,20 @@ envelopes
 where each Dicke index step shifts the phase by phi.  These are what
 ``mode_amplitudes`` returns; the per-mode photocurrent moments, the exact
 kernel, the Fock micro-oracle and the Monte Carlo sampler all use them.
-The total-intensity moments of ``intensity_moments_exact`` take a shift
-of phi/2 per index step instead (they pass m/2), which is the one that the
-second-order variance formula Var(I) = 4 I0 (1 + I0 N phi^2 sin^2 2X_t) is
-exact against.
+
+On the binomial ladder E[cos(t m)] = cos^N(t/2).  With L1 = N log cos phi and
+L2 = N log cos 2phi, ``intensity_moments_exact`` gives each mode
+
+    E[I_alpha|beta] = 4 I0 cos^2|sin^2 X_t -/+ 2 I0 cos 2X_t (1 - e^L1),
+    Var = E + 2 I0^2 [sin^2 2X_t (1 - e^L2) + cos^2 2X_t (1 + e^L2 - 2 e^(2 L1))],
+
+and the total, which shifts by phi/2 per index step instead (the half step:
+|alpha|^2 + |beta|^2 = 4 I0 (1 + sin 2X_t sin m phi)),
+
+    E[I] = 4 I0,    Var(I) = 4 I0 + 8 I0^2 sin^2 2X_t (1 - e^L1),
+
+whose second-order expansion is ``intensity_moments_approx``'s
+4 I0 (1 + I0 N phi^2 sin^2 2X_t).
 """
 
 from __future__ import annotations
@@ -23,13 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import EnsembleSpec, css_log_weights, m_values
+from .dicke import EnsembleSpec
 
 #: phi^2 N above which the second-order expansion no longer holds (check_phi2n)
 PHI2N_WARN = 0.1
-
-#: cost cap for the exact O(N) sums
-EXACT_SUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -120,39 +127,31 @@ def intensity_moments_approx(ens: EnsembleSpec, probe: ProbeConfig) -> LightMome
 
 
 def intensity_moments_exact(ens: EnsembleSpec, probe: ProbeConfig) -> LightMoments:
-    """Moments by direct summation over the binomial Dicke distribution.
-
-    No Taylor truncation: for each m the coherent-state moments are
-    E[n] = |gamma_m|^2 and E[n^2] = |gamma_m|^4 + |gamma_m|^2, mixed over m
-    with the exact binomial weights.  Total moments shift the phase by
-    phi/2 per index step, per-mode moments by phi (see module docstring).
+    """Exact moments of the binomial Dicke mixture in closed form (module
+    docstring), at a cost independent of N.  Every 1 - e^L is taken by
+    ``expm1``, so that no term cancels at the dark ports.  phi >= pi/4 raises
+    ValueError: cos 2phi <= 0 there, outside the domain of log cos 2phi; no
+    caller comes near it, since phi^2 N <= PHI2N_WARN keeps phi <= 0.32.
     """
-    if ens.n_atoms > EXACT_SUM_CAP:
-        raise ValueError(
-            f"n_atoms = {ens.n_atoms} exceeds the exact-sum cap {EXACT_SUM_CAP}"
-        )
-    w = css_log_weights(ens.n_atoms).normalized()
-    m = m_values(ens.n_atoms)
-
-    # totals: half shift, m phi/2
-    ah, bh = mode_amplitudes(ens, probe, m / 2.0)
-    tot = ah * ah + bh * bh
-    mean_total = float(np.dot(w, tot))
-    var_total = float(np.dot(w, tot * tot + tot)) - mean_total**2
-
-    # per-mode: full shift
-    af, bf = mode_amplitudes(ens, probe, m)
-    ia_f, ib_f = af * af, bf * bf
-    mean_alpha = float(np.dot(w, ia_f))
-    var_alpha = float(np.dot(w, ia_f * ia_f + ia_f)) - mean_alpha**2
-    mean_beta = float(np.dot(w, ib_f))
-    var_beta = float(np.dot(w, ib_f * ib_f + ib_f)) - mean_beta**2
-
+    i0, x, n, phi = probe.i0, probe.x_t, ens.n_atoms, ens.phi
+    if phi >= math.pi / 4:
+        raise ValueError(f"phi = {phi!r} must be below pi/4 for the exact light moments")
+    sh, s1, t1 = math.sin(phi / 2.0), math.sin(phi), math.tan(phi)
+    l1 = n * math.log1p(-2.0 * sh * sh)  # N log cos phi
+    l2 = n * math.log1p(-2.0 * s1 * s1)  # N log cos 2phi
+    delta = n * math.log1p(-(t1 * t1) * (t1 * t1))  # l2 - 4 l1 = N log(1 - tan^4 phi)
+    d1, d2, e2 = -math.expm1(l1), -math.expm1(l2), math.expm1(2.0 * l1)
+    c, s, c2x, s2x = math.cos(x), math.sin(x), math.cos(2.0 * x), math.sin(2.0 * x)
+    # Var_m cos(2X_t -/+ 2m phi), the same for both modes, with
+    # 1 + e^l2 - 2 e^(2 l1) = (e^(2 l1) - 1)^2 + e^(4 l1) (e^delta - 1)
+    var_cos = 0.5 * (
+        s2x * s2x * d2 + c2x * c2x * (e2 * e2 + math.exp(4.0 * l1) * math.expm1(delta))
+    )
+    mean_alpha = 4.0 * i0 * c * c - 2.0 * i0 * c2x * d1
+    mean_beta = 4.0 * i0 * s * s + 2.0 * i0 * c2x * d1
+    spread = 4.0 * i0 * i0 * var_cos
     return LightMoments(
-        mean_total=mean_total,
-        var_total=var_total,
-        mean_alpha=mean_alpha,
-        var_alpha=var_alpha,
-        mean_beta=mean_beta,
-        var_beta=var_beta,
+        mean_total=4.0 * i0, var_total=4.0 * i0 + 8.0 * i0 * i0 * s2x * s2x * d1,
+        mean_alpha=mean_alpha, var_alpha=mean_alpha + spread,
+        mean_beta=mean_beta, var_beta=mean_beta + spread,
     )

@@ -122,6 +122,9 @@ for command in ("fig3", "fig4", "table1", "plan", "sample"):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command]) == 0, command
     assert not scipy_modules(), (command, scipy_modules())
+from spinsq import EnsembleSpec, ProbeConfig, intensity_moments_exact
+intensity_moments_exact(EnsembleSpec(n_atoms=400, phi=1e-3), ProbeConfig(i0=100.0))
+assert not scipy_modules(), ("intensity_moments_exact", scipy_modules())
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["oracle-report"]) == 0
 assert "scipy.special" in sys.modules

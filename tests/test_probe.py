@@ -1,17 +1,21 @@
+import dataclasses
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 from spinsq import (
     EnsembleSpec,
+    LightMoments,
     ProbeConfig,
+    css_log_weights,
     intensity_moments_approx,
     intensity_moments_exact,
     mode_amplitudes,
 )
-from spinsq.dicke import m_values
+from spinsq.dicke import PHI_N_CAP, m_values
 from spinsq.probe import PHI2N_WARN, check_phi2n
 
 ENS = EnsembleSpec(n_atoms=200, phi=0.005)
@@ -133,7 +137,64 @@ def test_check_phi2n_warns_or_refuses_above_one_threshold():
         check_phi2n(above, refuse=True)
 
 
-def test_exact_sum_cap():
-    ens_huge = EnsembleSpec(n_atoms=2 * 10**6, phi=0.0)
-    with pytest.raises(ValueError):
-        intensity_moments_exact(ens_huge, PROBE)
+def _ladder_sum_moments(ens, probe):
+    """Reference by direct O(N) summation over the binomial Dicke ladder:
+    coherent-state moments E[n] = |gamma_m|^2, E[n^2] = |gamma_m|^4 +
+    |gamma_m|^2 mixed with the exact weights, the total with the half shift."""
+    w = css_log_weights(ens.n_atoms).normalized()
+    m = m_values(ens.n_atoms)
+    ah, bh = mode_amplitudes(ens, probe, m / 2.0)
+    af, bf = mode_amplitudes(ens, probe, m)
+    moments = []
+    for intensity in (ah * ah + bh * bh, af * af, bf * bf):
+        mean = float(np.dot(w, intensity))
+        moments += [mean, float(np.dot(w, intensity * intensity + intensity)) - mean**2]
+    return LightMoments(*moments)
+
+
+def _mpmath_moments(ens, probe):
+    """The mixture moments at 60 digits from their definition,
+    Var_m cos(2X_t -/+ 2m phi) = E[cos^2] - E[cos]^2 with E[cos(t m)] = cos^N(t/2)."""
+    with mpmath.workdps(60):
+        i0, x, phi = mpmath.mpf(probe.i0), mpmath.mpf(probe.x_t), mpmath.mpf(ens.phi)
+        c1, c2 = mpmath.cos(phi) ** ens.n_atoms, mpmath.cos(2 * phi) ** ens.n_atoms
+        c2x, s2x = mpmath.cos(2 * x), mpmath.sin(2 * x)
+        mean_alpha, mean_beta = 2 * i0 * (1 + c2x * c1), 2 * i0 * (1 - c2x * c1)
+        spread = 4 * i0**2 * ((1 + mpmath.cos(4 * x) * c2) / 2 - (c2x * c1) ** 2)
+        var_total = 4 * i0 + 8 * i0**2 * s2x**2 * (1 - c1)
+        return LightMoments(*(float(v) for v in (
+            4 * i0, var_total, mean_alpha, mean_alpha + spread, mean_beta, mean_beta + spread
+        )))
+
+
+def _assert_moments_close(got, ref, rel):
+    for field in dataclasses.fields(LightMoments):
+        name = field.name
+        assert getattr(got, name) == pytest.approx(getattr(ref, name), rel=rel), name
+
+
+def test_intensity_moments_exact_matches_ladder_sum_and_mpmath():
+    below_pi_4 = math.nextafter(math.pi / 4, 0.0)
+    for n in (1, 2, 7, 100, 401, 2000):
+        for phi in (1e-4, 3e-3, 0.05, 0.3, below_pi_4):
+            if phi * n > PHI_N_CAP:
+                continue
+            ens = EnsembleSpec(n_atoms=n, phi=phi)
+            for x_t in (0.0, math.pi / 8, 1.0, math.pi / 2):
+                probe = ProbeConfig(i0=100.0, x_t=x_t)
+                ref = _ladder_sum_moments(ens, probe)
+                _assert_moments_close(intensity_moments_exact(ens, probe), ref, 1e-9)
+    # experiment scale, far past any O(N) sum: N = 6e10, I0 = 1e11,
+    # eta d = 2 I0 N phi^2 = 12.8, dark ports included
+    n, i0 = 6 * 10**10, 1e11
+    ens = EnsembleSpec(n_atoms=n, phi=math.sqrt(12.8 / (2.0 * i0 * n)))
+    for x_t in (0.0, 2e-6, math.pi / 8, math.pi / 4, math.pi / 2):
+        probe = ProbeConfig(i0=i0, x_t=x_t)
+        ref = _mpmath_moments(ens, probe)
+        _assert_moments_close(intensity_moments_exact(ens, probe), ref, 1e-12)
+
+
+def test_intensity_moments_exact_refuses_phi_from_pi_over_4():
+    # cos 2phi <= 0 there, outside the domain of log cos 2phi
+    with pytest.raises(ValueError, match="pi/4"):
+        intensity_moments_exact(EnsembleSpec(n_atoms=1, phi=math.pi / 4), PROBE)
