@@ -36,6 +36,10 @@ raised, each message once, also printed on stderr.  Each subcommand returns
 its columns; the renderer formats each distinct value of a column once,
 interleaves the columns' texts into one string per _BLOCK_ROWS rows and
 streams the strings to --out or stdout, which receive the same bytes.
+Floats print as their repr.  A float64 column's distinct values are
+formatted by one orjson call where its text equals repr, at magnitudes in
+[1e-4, 1e16); outside that band repr switches to exponent form, and orjson
+writes NaN and +-inf as null, so those values go through repr one by one.
 """
 
 from __future__ import annotations
@@ -204,13 +208,24 @@ def _cell_texts(values, cell) -> list:
     float64 arrays are keyed by bit pattern, so 0.0 and -0.0 never share a
     text; other values by (type, value), so 0, 0.0 and False never do.
     Floats outside float64 arrays are formatted cell by cell.
+
+    A float64 array's distinct values are formatted by one ``orjson.dumps``
+    call, whose shortest round-trip digits (Ryu) cost ~40 ns a value against
+    ~0.8 us for ``float.__repr__``.  Its text equals repr for magnitudes in
+    [1e-4, 1e16), where both write positional notation.  Outside that band
+    repr switches to exponent form (``1e+16``, ``2e-06``) and orjson writes
+    NaN and +-inf as ``null``, so those values, and +-0.0, go through ``cell``.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        import orjson  # imported here so that only rendering loads it
+
         keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
         floats = keys.view(np.float64)
-        # a finite float's text is its repr in every format; calling repr
-        # directly saves a Python call per value
-        texts = list(map(float.__repr__ if np.isfinite(floats).all() else cell, floats.tolist()))
+        texts = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+        magnitude = np.abs(floats)
+        outside = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
+        for i, v in zip(outside.tolist(), floats[outside].tolist()):
+            texts[i] = cell(v)
         return np.array(texts, dtype=object)[inverse].tolist()
     cache: dict = {}
     out = []

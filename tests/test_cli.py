@@ -139,6 +139,31 @@ def test_only_exact_paths_import_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+#: run in a fresh interpreter: importing the CLI and sampling load no orjson
+#: module, and rendering a fig3 loads it
+ORJSON_GUARD = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+
+from spinsq import cli
+from spinsq import EnsembleSpec, ProbeConfig, conditional_xi_distribution
+assert "orjson" not in sys.modules, "import spinsq.cli"
+conditional_xi_distribution(EnsembleSpec(n_atoms=400, phi=7.07e-3), ProbeConfig(i0=100.0), 50, seed=0)
+assert "orjson" not in sys.modules, "conditional_xi_distribution"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["fig3"]) == 0
+assert "orjson" in sys.modules, "fig3"
+"""
+
+
+def test_only_rendering_imports_orjson():
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", ORJSON_GUARD, str(src)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_cli_outputs_tool_writes_every_output(tmp_path):
     # tools/cli_outputs.py writes the files that a before/after diff compares
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
@@ -148,7 +173,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 22
+    assert len(outputs) == 24
     assert (tmp_path / "stderr.txt").is_file()
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
@@ -688,6 +713,32 @@ def test_sample_columns_render_as_the_reference(fmt):
     assert not any(col.flags.c_contiguous for col in columns.values())
     text = "".join(cli._render(columns, meta, fmt))
     assert text == reference_text(columns, meta, fmt)
+
+
+def _float_samples():
+    """Random float64 bit patterns, log-uniform values over +-[1e-6, 1e18]
+    and the edges of the band where orjson's text equals repr."""
+    rng = np.random.default_rng(22)
+    int64 = np.iinfo(np.int64)
+    bits = rng.integers(int64.min, int64.max, size=10**5, dtype=np.int64, endpoint=True)
+    specials = [math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308]
+    magnitudes = np.exp(rng.uniform(math.log(1e-6), math.log(1e18), size=10**5))
+    edges = [
+        np.nextafter(edge, toward) for edge in (1e-4, 1e16) for toward in (0.0, edge, np.inf)
+    ]
+    edges = np.array(edges + [0.0, 5e-324, 2e-06])
+    return {
+        "bit_patterns": np.concatenate([bits.view(np.float64), specials]),
+        "log_uniform": magnitudes * rng.choice([-1.0, 1.0], size=magnitudes.size),
+        "band_edges": np.concatenate([edges, -edges]),
+    }
+
+
+@pytest.mark.parametrize("cell", [cli._csv_text, cli._json_text], ids=["csv", "json"])
+@pytest.mark.parametrize("sample", ["bit_patterns", "log_uniform", "band_edges"])
+def test_cell_texts_of_float_arrays_equal_each_cell(cell, sample):
+    values = _float_samples()[sample]
+    assert cli._cell_texts(values, cell) == [cell(v) for v in values.tolist()]
 
 
 #: small configs that exercise every subcommand

@@ -16,7 +16,11 @@ eta to 1e-9 and the row is flagged, and ``sample_exact.csv`` and ``.json``:
 the default ``sample`` with ``method = exact`` and 200 draws, which the
 exact oracle evaluates in several blocks, and ``sample_10000.csv`` and
 ``.json``: the default ``sample`` with 10,000 draws, whose columns are strided
-views of one table and span three render blocks.  ``exit_codes.txt`` lists
+views of one table and span three render blocks, and ``fig3_i0_1e16.csv``
+and ``.json``: the default ``fig3`` at I0 = 1e16 on a 21x21 grid, whose
+``i_alpha`` cells (~4e16) and nudged ``x_t = 2e-06`` lie outside the band
+[1e-4, 1e16) where the renderer's fast float text equals repr, on both
+sides.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -53,6 +57,7 @@ EXTRA_RUNS = {
     "plan_d_1p5": ("plan", "[plan]\nd = 1.5\n"),
     "sample_exact": ("sample", "[sample]\nmethod = exact\nn_samples = 200\n"),
     "sample_10000": ("sample", "[sample]\nn_samples = 10000\n"),
+    "fig3_i0_1e16": ("fig3", "[fig3]\ni0 = 1e16\ngrid_points = 21\n"),
 }
 
 
