@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeWeights, EnsembleSpec, log_binomial_weights, m_values
-from .probe import ProbeConfig, intensity_moments_approx, mode_amplitudes
+from .dicke import DickeWeights, EnsembleSpec, ladder, log_binomial_weights
+from .probe import ProbeConfig, _envelopes, intensity_moments_approx
 
 #: default caps for the exact posterior path
 ORACLE_N_CAP = 2000
@@ -54,9 +54,10 @@ class MeasurementOutcome:
 
     def __post_init__(self):
         a, b = self.i_alpha, self.i_beta
-        # NaN fails both comparisons
+        # NaN fails both comparisons; Python floats give a bool, which needs
+        # no numpy reduction when it is True
         ok = (a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf)
-        if not np.asarray(ok).all():
+        if ok is not True and not np.asarray(ok).all():
             raise ValueError(f"i_alpha, i_beta must be finite and >= 0, got {a}, {b}")
 
 
@@ -134,7 +135,8 @@ def _log_kernel(x):
     x = np.asarray(x, dtype=float)
     z = 2.0 * np.sqrt(np.abs(x))
     # asarray: a 0-d z gives a numpy scalar, which J_0 could not overwrite
-    log_s, sign = np.asarray(np.log(i0e(z)) + z), np.ones(z.shape)
+    log_s, sign = np.asarray(np.log(i0e(z)) + z), np.empty(z.shape)
+    sign.fill(1.0)
     neg = x < 0
     if neg.any():
         s = j0(z[neg])
@@ -149,25 +151,7 @@ def _distinct(x):
     than half its per-call cost, which rivals the kernel's at N <= 400."""
     s = np.sort(x, axis=None)
     u = np.concatenate((s[:1], s[1:][s[1:] != s[:-1]]))
-    return u, np.searchsorted(u, x)
-
-
-def _log_povm_element(out: MeasurementOutcome, a_m, b_m, a_p, b_p):
-    """Signed log of <M_alpha>_{m,m'} <M_beta>_{m,m'} / e^{-(I_alpha + I_beta)}.
-
-    (a_m, b_m) and (a_p, b_p) are the mode envelopes at m and m' (scalars or
-    equal-shape arrays); outcome fields that are 1-D arrays add a leading
-    outcome axis.  One ``_log_kernel`` call covers one row per distinct reading
-    of each mode, its kernel's only input.  Exactly symmetric under m <-> m'.
-    """
-    i_alpha, inv_a = _distinct(out.i_alpha)
-    i_beta, inv_b = _distinct(out.i_beta)
-    log_s, sign = _log_kernel(np.concatenate(
-        (np.multiply.outer(i_alpha, a_m * a_p), np.multiply.outer(i_beta, b_m * b_p))
-    ))
-    inv_b = inv_b + i_alpha.size
-    envelopes = (a_m * a_m + a_p * a_p) + (b_m * b_m + b_p * b_p)
-    return -0.5 * envelopes + log_s[inv_a] + log_s[inv_b], sign[inv_a] * sign[inv_b]
+    return u, u.searchsorted(x)
 
 
 def posterior_weights(
@@ -185,9 +169,10 @@ def posterior_weights(
     separately.
 
     Outcome fields that are 1-D arrays of k outcomes give one row of
-    weights per outcome, each equal to that outcome's scalar call; the m
-    ladder and mode envelopes are built once per call, the exact kernel once
-    per distinct reading of each mode, and the prior is cached.
+    weights per outcome, each equal to that outcome's scalar call; the mode
+    envelopes and their pair products are built once per call, the exact
+    kernel once per distinct reading of each mode, and the m ladder and the
+    prior are cached.
     """
     if method != "exact":
         raise ValueError(f"unknown method {method!r}")
@@ -195,17 +180,27 @@ def posterior_weights(
         raise ValueError(f"n_atoms = {ens.n_atoms} exceeds exact-kernel cap {ORACLE_N_CAP}")
     if probe.i0 > ORACLE_I0_CAP:
         raise ValueError(f"i0 = {probe.i0} exceeds exact-kernel cap {ORACLE_I0_CAP:g}")
-    a, b = mode_amplitudes(ens, probe, m_values(ens.n_atoms))
-    # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal
-    # kernels in one pass, without the m-independent e^{-(I_alpha + I_beta)}
-    log_k, sign = _log_povm_element(
-        out, np.concatenate((a, a[:-1])), np.concatenate((b, b[:-1])),
-        np.concatenate((a, a[1:])), np.concatenate((b, b[1:])),
-    )
-    diag_log = log_k[..., : a.size]
+    n = int(ens.n_atoms)
+    g = np.array(_envelopes(ens, probe, ladder(n)[0]))  # rows alpha, beta
+    # pairs (m, m), then (m, m+1): the diagonal and first off-diagonal of
+    # g_m g_m' and of g_m^2 + g_m'^2, per mode
+    squares = g * g
+    pairs = np.concatenate((squares, g[:, :-1] * g[:, 1:]), axis=1)
+    sums = np.concatenate((squares + squares, squares[:, :-1] + squares[:, 1:]), axis=1)
+    # the kernel once per distinct reading of each mode: rows alpha, then beta
+    i_alpha, inv_a = _distinct(out.i_alpha)
+    i_beta, inv_b = _distinct(out.i_beta)
+    log_s, sign = _log_kernel(np.concatenate(
+        (np.multiply.outer(i_alpha, pairs[0]), np.multiply.outer(i_beta, pairs[1]))
+    ))
+    k = i_alpha.size
+    # the log-kernel without the m-independent e^{-(I_alpha + I_beta)}; the
+    # envelope term joins the alpha rows before they are gathered per outcome
+    log_k = (-0.5 * (sums[0] + sums[1]) + log_s[:k])[inv_a] + log_s[k:][inv_b]
+    diag_log = log_k[..., : n + 1]
     return DickeWeights(
-        n_atoms=ens.n_atoms,
-        log_w=log_binomial_weights(int(ens.n_atoms)) + diag_log,
-        offdiag_logf=log_k[..., a.size :] - diag_log[..., :-1],
-        offdiag_sign=sign[..., a.size :],
+        n_atoms=n,
+        log_w=log_binomial_weights(n) + diag_log,
+        offdiag_logf=log_k[..., n + 1 :] - diag_log[..., :-1],
+        offdiag_sign=sign[:k][inv_a, n + 1 :] * sign[k:][inv_b, n + 1 :],
     )

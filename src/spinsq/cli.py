@@ -21,8 +21,10 @@ not a whole number at or above its minimum, an empty fig3 x_t or
 oracle-report grid list, a materials file that cannot be read or holds an
 invalid preset -- an unknown key, or a value that is not finite and > 0 --
 and an --out file that cannot be opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
-in fig3 and second-order sample, a non-finite x_t or optical depth, a
-plan whose N, I0 or detuning is not finite, and an allocation that fails);
+in fig3 and second-order sample, a non-finite x_t or optical depth, an
+oracle-report i0 that is not finite and > 0 or product that is not finite
+and >= 0, named with its value, a plan whose N, I0 or detuning is not
+finite, and an allocation that fails);
 4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
 setting moves, including a row whose relative error is not finite); 5
 output could not be written, including stdout closed early (``spinsq fig3
@@ -375,13 +377,14 @@ def cmd_fig4(section: Section) -> tuple:
         )
         for d in d_list
     ]
+    xi = np.empty((len(curves), eta_points))
+    for row, (_, d, model) in zip(xi, curves):
+        row[:] = xi_noisy(etas, d, model)
     columns = {
         "model": [name for name, _, _ in curves for _ in range(eta_points)],
         "d": np.repeat([d for _, d, _ in curves], eta_points),
         "eta": np.tile(etas, len(curves)),
-        "xi_prime_sq": np.array(
-            [xi_noisy(eta, d, model) for _, d, model in curves for eta in etas.tolist()]
-        ),
+        "xi_prime_sq": xi.ravel(),
     }
     return columns, dict(section.used), EXIT_OK
 

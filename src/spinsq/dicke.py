@@ -13,6 +13,7 @@ indexing with the integer 2m.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,18 @@ def m_values(n_atoms: int) -> np.ndarray:
     return np.arange(-n_atoms, n_atoms + 1, 2) / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def ladder(n_atoms: int) -> tuple:
+    """Read-only (m, m^2, N/2 - m[:-1]) of ``m_values(n_atoms)``: the ladder,
+    the weights of <Jz^2> and those of the <Jx> band, cached for 8 atom
+    counts like ``log_binomial_weights``."""
+    m = m_values(n_atoms)
+    arrays = (m, m * m, n_atoms / 2.0 - m[:-1])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """Atom count and dispersive phase shift per atom."""
@@ -37,7 +50,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n_atoms < 1 or int(self.n_atoms) != self.n_atoms:
             raise ValueError(f"n_atoms must be a positive integer, got {self.n_atoms}")
-        if not np.isfinite(self.phi) or self.phi < 0:
+        if not math.isfinite(self.phi) or self.phi < 0:
             raise ValueError(f"phi must be finite and >= 0, got {self.phi}")
         if self.phi * self.n_atoms > PHI_N_CAP:
             raise ValueError(
@@ -85,14 +98,14 @@ class DickeWeights:
 
     def moments(self) -> tuple:
         """(<Jz^2>, <Jx>) per row, as ``collective_moments`` defines them."""
-        m = m_values(self.n_atoms)
+        _, m2, rungs = ladder(self.n_atoms)
         shift = self.log_w.max(axis=-1, keepdims=True)
         w = np.exp(self.log_w - shift)
         band = np.exp(self.log_w[..., :-1] + self.offdiag_logf - shift) * self.offdiag_sign
-        jx = (band * (self.n_atoms / 2.0 - m[:-1])).sum(axis=-1)
+        jx = (band * rungs).sum(axis=-1)
         norm = w.sum(axis=-1)
         # vecdot gives each row the bits of np.dot on it (a gemv would not)
-        return np.vecdot(w, m * m) / norm, jx / norm
+        return np.vecdot(w, m2) / norm, jx / norm
 
 
 @dataclass(frozen=True)

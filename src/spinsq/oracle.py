@@ -33,8 +33,8 @@ from .backaction import (
     offset_outcomes,
     posterior_weights,
 )
-from .dicke import EnsembleSpec, SqueezingResult, css_log_weights, m_values
-from .probe import ProbeConfig, check_phi2n, mode_amplitudes
+from .dicke import EnsembleSpec, SqueezingResult, css_log_weights, ladder
+from .probe import ProbeConfig, _envelopes, check_phi2n, mode_amplitudes
 from .squeezing import xi_closed_form, xi_closed_form_array
 
 #: RNG algorithm recorded in output metadata
@@ -62,16 +62,21 @@ def oracle_xi(
     element equal to that outcome's scalar call; scalar fields give numpy
     scalars.  The posterior and its ``DickeWeights.moments`` take
     ORACLE_BLOCK kernel elements (outcomes x (2N+1)) at a time; outcomes
-    that fit one block, a scalar one included, pass as they are.
+    that fit one block, a scalar one included, take one posterior and go
+    straight from its moments to the result.
     """
-    n, shape = ens.n_atoms, np.shape(out.i_alpha)
-    jz2, jx = np.empty((2, np.size(out.i_alpha)))
+    n, size = ens.n_atoms, np.size(out.i_alpha)
     step = max(1, ORACLE_BLOCK // (2 * n + 1))
-    for start in range(0, jz2.size, step):
+    if size <= step:
+        return SqueezingResult.from_moments(
+            n, *posterior_weights(ens, probe, out, method="exact").moments()
+        )
+    jz2, jx = np.empty((2, size))
+    for start in range(0, size, step):
         block = slice(start, start + step)
-        sub = out if jz2.size <= step else MeasurementOutcome(out.i_alpha[block], out.i_beta[block])
+        sub = MeasurementOutcome(out.i_alpha[block], out.i_beta[block])
         jz2[block], jx[block] = posterior_weights(ens, probe, sub, method="exact").moments()
-    return SqueezingResult.from_moments(n, jz2.reshape(shape)[()], jx.reshape(shape)[()])
+    return SqueezingResult.from_moments(n, jz2, jx)
 
 
 # ---------------------------------------------------------------------------
@@ -94,21 +99,21 @@ def fock_posterior(
     terms past the cutoff may carry more than FOCK_TAIL_RTOL of the trace,
     or when the kept trace underflows to 0.
     """
-    m = m_values(ens.n_atoms)
     c = np.sqrt(css_log_weights(ens.n_atoms).normalized())
-    a, b = mode_amplitudes(ens, probe, m)
-    rho = np.outer(c, c)
+    a, b = _envelopes(ens, probe, ladder(ens.n_atoms)[0])
+    rho = c[:, None] * c
     bound = c * c  # diagonal of rho with each mode's dropped terms bounded above
     n = np.arange(1, cutoff + 1)
+    root_n = np.sqrt(n)
     for gamma, i_bar in ((a, out.i_alpha), (b, out.i_beta)):
         # <n|gamma_m> for all m at once, shape (N+1, cutoff+1), times the Kraus
         # diagonal sqrt(Poisson(n; i_bar)); two products, each from its own
         # e^{-x/2}, so that neither underflows before gamma^2 or i_bar ~ 1490
         steps = np.empty((gamma.size, cutoff + 1))
         steps[:, 0] = np.exp(-gamma * gamma / 2.0)
-        steps[:, 1:] = gamma[:, None] / np.sqrt(n)
+        steps[:, 1:] = gamma[:, None] / root_n
         kraus = np.concatenate(([math.exp(-i_bar / 2.0)], np.sqrt(i_bar / n)))
-        light = np.cumprod(steps, axis=1) * np.cumprod(kraus)
+        light = steps.cumprod(axis=1) * kraus.cumprod()
         kernel = light @ light.T
         rho *= kernel
         # past the cutoff each term of a row shrinks by at least the factor
@@ -116,8 +121,8 @@ def fock_posterior(
         # dropped from the diagonal sum to at most light[:, -1]^2 q^2 / (1 - q^2)
         q2 = gamma * gamma * (i_bar / (cutoff + 1) ** 2)
         tail = light[:, -1] ** 2 * q2 / (1.0 - q2) if q2.max() < 1.0 else np.inf
-        bound *= np.diag(kernel) + tail
-    trace, total = np.trace(rho), bound.sum()
+        bound *= kernel.diagonal() + tail
+    trace, total = rho.trace(), bound.sum()
     # a trace that underflowed to 0 would give NaN
     if not (trace > 0.0 and total <= (1.0 + FOCK_TAIL_RTOL) * trace):
         raise ValueError(
@@ -130,10 +135,10 @@ def fock_posterior(
 def fock_moments(rho: np.ndarray) -> SqueezingResult:
     """<Jz^2>, <Jx>, xi^2 by dense-matrix traces with ladder matrix elements."""
     n = rho.shape[0] - 1
-    m = m_values(n)
-    jz2 = float(np.dot(np.diag(rho), m * m))
-    ladder = 0.5 * np.sqrt((n / 2.0 - m[:-1]) * (n / 2.0 + m[:-1] + 1.0))
-    jx = float(2.0 * np.dot(np.diag(rho, 1), ladder))
+    m, m2, rungs = ladder(n)
+    jz2 = float(np.dot(rho.diagonal(), m2))
+    elements = 0.5 * np.sqrt(rungs * (n / 2.0 + m[:-1] + 1.0))
+    jx = float(2.0 * np.dot(rho.diagonal(1), elements))
     return SqueezingResult.from_moments(n, jz2, jx)
 
 
@@ -252,8 +257,14 @@ def compare_report(grid: dict | None = None, offsets=DEFAULT_OFFSETS) -> dict:
     grid = {**DEFAULT_GRID, **(grid or {})}
     if empty := [key for key in DEFAULT_GRID if not len(grid[key])]:
         raise ValueError(f"empty grid axis: {', '.join(empty)}")
-    offsets_alpha = np.array([da for da, _ in offsets], dtype=float)
-    offsets_beta = np.array([db for _, db in offsets], dtype=float)
+    # before any math: phi = sqrt(product / (2 I0 N)) divides by I0
+    for i0 in grid["i0"]:
+        if not 0.0 < i0 < math.inf:
+            raise ValueError(f"i0 must be finite and > 0, got {i0}")
+    for prod in grid["product"]:
+        if not 0.0 <= prod < math.inf:
+            raise ValueError(f"product must be finite and >= 0, got {prod}")
+    offsets_alpha, offsets_beta = np.array(offsets, dtype=float).reshape(-1, 2).T
     rows = []
     max_rel = 0.0
     adaptive_ok = True
@@ -262,6 +273,7 @@ def compare_report(grid: dict | None = None, offsets=DEFAULT_OFFSETS) -> dict:
             for prod in grid["product"]:
                 phi = math.sqrt(prod / (2.0 * i0 * n))
                 ens = EnsembleSpec(n_atoms=n, phi=phi)
+                adaptive_gate = max(GATE, phi * math.sqrt(n))
                 for x_t in grid["x_t"]:
                     probe = ProbeConfig(i0=i0, x_t=x_t)
                     out = offset_outcomes(ens, probe, offsets_alpha, offsets_beta)
@@ -274,7 +286,7 @@ def compare_report(grid: dict | None = None, offsets=DEFAULT_OFFSETS) -> dict:
                         rel = abs(xi_c - xi_o) / xi_o
                         max_rel = max(max_rel, rel if math.isfinite(rel) else math.inf)
                         # "not <=", so that a NaN error fails the gate too
-                        if not rel <= max(GATE, phi * math.sqrt(n)):
+                        if not rel <= adaptive_gate:
                             adaptive_ok = False
                         rows.append(
                             {

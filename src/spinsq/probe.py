@@ -51,7 +51,7 @@ class ProbeConfig:
     x_t: float = math.pi / 4
 
     def __post_init__(self):
-        if not np.isfinite(self.i0) or self.i0 < 0:
+        if not math.isfinite(self.i0) or self.i0 < 0:
             raise ValueError(f"i0 must be finite and >= 0, got {self.i0}")
         if not math.isfinite(self.x_t):
             raise ValueError(f"x_t must be finite, got {self.x_t}")
@@ -76,6 +76,12 @@ def mode_amplitudes(ens: EnsembleSpec, probe: ProbeConfig, m):
     m = np.asarray(m, dtype=float)
     if np.any(np.abs(m) > ens.n_atoms / 2 + 1e-12):
         raise ValueError("|m| must not exceed n_atoms / 2")
+    return _envelopes(ens, probe, m)
+
+
+def _envelopes(ens: EnsembleSpec, probe: ProbeConfig, m: np.ndarray):
+    """``mode_amplitudes`` without its |m| <= N/2 check, for a float ladder
+    that is in range by construction (``dicke.ladder``)."""
     shift = m * ens.phi
     amp = 2.0 * math.sqrt(probe.i0)
     return amp * np.cos(probe.x_t - shift), amp * np.sin(probe.x_t + shift)

@@ -15,19 +15,22 @@ from spinsq import (
     mode_amplitudes,
     posterior_weights,
 )
-from spinsq.backaction import _log_kernel, _log_povm_element
-from spinsq.dicke import m_values
+from spinsq.backaction import _log_kernel
+from spinsq.dicke import log_binomial_weights, m_values
 
 PROBE = ProbeConfig(i0=100.0, x_t=math.pi / 8)
 ENS = EnsembleSpec(n_atoms=200, phi=0.005)
 
 
 def povm_log_weight(probe, out, ens, m, m_prime):
-    """(log|<M_alpha>_{m,m'} <M_beta>_{m,m'}|, sign) with the exact kernel."""
+    """(log|<M_alpha>_{m,m'} <M_beta>_{m,m'}|, sign) with the exact kernel,
+    one element at a time from the mode envelopes at m and m'."""
     am, bm = mode_amplitudes(ens, probe, m)
     ap, bp = mode_amplitudes(ens, probe, m_prime)
-    log_w, sign = _log_povm_element(out, am, bm, ap, bp)
-    return float(log_w - (out.i_alpha + out.i_beta)), float(sign)
+    log_a, sign_a = _log_kernel(out.i_alpha * (am * ap))
+    log_b, sign_b = _log_kernel(out.i_beta * (bm * bp))
+    log_w = -0.5 * ((am * am + ap * ap) + (bm * bm + bp * bp)) + log_a + log_b
+    return float(log_w - (out.i_alpha + out.i_beta)), float(sign_a * sign_b)
 
 
 def test_outcome_validation():
@@ -139,6 +142,27 @@ def test_povm_weight_symmetry_and_frozen_value():
     assert lw1 == lw2
     assert lw1[0] == pytest.approx(-7.808236703727047, rel=1e-12)
     assert lw1[1] == 1.0
+
+
+def test_posterior_weights_equal_povm_elements():
+    # the posterior's diagonal and first off-diagonal, built from the whole
+    # ladder at once, against one kernel element at a time; at X_t = pi/8 and
+    # N phi = 16 both envelopes change sign, and some off-diagonal kernels
+    # take the J_0 branch where J_0 < 0
+    ens = EnsembleSpec(n_atoms=40, phi=0.4)
+    probe = ProbeConfig(i0=3.0, x_t=math.pi / 8)
+    out = MeasurementOutcome(7.5, 4.25)
+    pw = posterior_weights(ens, probe, out)
+    m = m_values(ens.n_atoms)
+    # povm_log_weight includes the m-independent -(I_alpha + I_beta); the posterior does not
+    total = out.i_alpha + out.i_beta
+    diag = np.array([povm_log_weight(probe, out, ens, k, k)[0] for k in m]) + total
+    pairs = [povm_log_weight(probe, out, ens, k, k + 1.0) for k in m[:-1]]
+    off = np.array([lw for lw, _ in pairs]) + total
+    assert np.allclose(pw.log_w - log_binomial_weights(40), diag, rtol=1e-13, atol=1e-12)
+    assert np.allclose(pw.offdiag_logf, off - diag[:-1], rtol=1e-13, atol=1e-12)
+    assert np.array_equal(pw.offdiag_sign, [sign for _, sign in pairs])
+    assert -1.0 in pw.offdiag_sign
 
 
 def test_posterior_exact_mean_shift_prediction():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsq import cli
+from spinsq import cli, squeezing
 from spinsq.cli import EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK, EXIT_OUTPUT, main
 
 
@@ -173,12 +173,14 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 24
+    assert len(outputs) == 26
     assert (tmp_path / "stderr.txt").is_file()
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
-    assert all(line.endswith(" 0") for line in codes)
+    # +-1 sigma outcomes fail the flat 5% gate (known red); every other run passes
+    gate_red = {"oracle_report_pm1.csv", "oracle_report_pm1.json"}
+    assert all(line.endswith(" 4" if line.split()[0] in gate_red else " 0") for line in codes)
 
 
 def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
@@ -237,6 +239,27 @@ def test_fig4_curves(tmp_path, capsys):
     assert row[3] == pytest.approx(1 / ((1 - eta) ** 2 * (1 + eta * 40)), rel=1e-12)
 
 
+def test_fig4_evaluates_each_curve_in_one_call(tmp_path, capsys, monkeypatch):
+    # one xi_noisy call per (model, d) curve over the whole eta grid; on the
+    # default grid it holds the bits of the per-eta scalar calls
+    calls = []
+
+    def counted(eta, d, model):
+        calls.append((eta, d, model))
+        return squeezing.xi_noisy(eta, d, model)
+
+    monkeypatch.setattr(cli, "xi_noisy", counted)
+    cfg = write_config(tmp_path, "[fig4]\ngrid_d = 10 20\n")
+    code, out, _ = run_main(["--config", cfg, "--format", "json", "fig4"], capsys)
+    assert code == EXIT_OK
+    assert len(calls) == 2 + 3 + 2
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 200 * len(calls)
+    for (eta, d, model), start in zip(calls, range(0, len(rows), 200)):
+        expected = [squeezing.xi_noisy(e, d, model) for e in eta.tolist()]
+        assert [row[3] for row in rows[start : start + 200]] == expected
+
+
 def test_table1_csv_roundtrip(capsys):
     code, out, _ = run_main(["table1"], capsys)
     assert code == EXIT_OK
@@ -281,6 +304,39 @@ def test_oracle_report_records_python_warnings_in_metadata(tmp_path, capsys):
         "phi^2 * N = 0.2 exceeds 0.1; second-order results may be inaccurate"
     )
     assert "warning: phi^2 * N = 0.2" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # 0 divided phi = sqrt(product / (2 I0 N)) by zero, a negative value
+        # took a negative root; both messages named no key
+        ("i0 = 0\n", "i0 must be finite and > 0, got 0.0"),
+        ("i0 = -5\n", "i0 must be finite and > 0, got -5.0"),
+        ("i0 = 100 nan\n", "i0 must be finite and > 0, got nan"),
+        ("product = -1\n", "product must be finite and >= 0, got -1.0"),
+        ("product = 1 inf\n", "product must be finite and >= 0, got inf"),
+    ],
+)
+def test_oracle_report_names_an_i0_or_product_outside_its_domain(tmp_path, capsys, text, message):
+    cfg = write_config(tmp_path, "[oracle-report]\n" + text)
+    code, out, err = run_main(["--config", cfg, "oracle-report"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines() == [f"numeric error: {message}"]
+
+
+def test_oracle_report_product_zero_gives_unit_xi(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[oracle-report]\nn_atoms = 30\ni0 = 10\nproduct = 0\n")
+    code, out, _ = run_main(["--config", cfg, "--format", "json", "oracle-report"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    columns = doc["columns"]
+    assert len(doc["rows"]) == 3
+    for row in doc["rows"]:
+        values = dict(zip(columns, row))
+        assert values["xi_oracle"] == pytest.approx(1.0, rel=1e-12)
+        assert values["xi_closed"] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_oracle_report_gate_failure_exits_4(tmp_path, capsys):

@@ -9,7 +9,7 @@ from spinsq import (
     collective_moments,
     css_log_weights,
 )
-from spinsq.dicke import log_binomial_weights, m_values
+from spinsq.dicke import ladder, log_binomial_weights, m_values
 
 
 def test_css_n2_weights():
@@ -186,3 +186,18 @@ def test_dicke_weights_require_the_band():
     dw = css_log_weights(4)
     assert np.array_equal(dw.offdiag_logf, np.zeros(4))
     assert np.array_equal(dw.offdiag_sign, np.ones(4))
+
+
+def test_ladder_is_cached_read_only_and_m_values_stays_fresh():
+    # one shared (m, m^2, N/2 - m[:-1]) per atom count; writing to it raises,
+    # while m_values hands out a new writable array on every call
+    m, m2, rungs = ladder(7)
+    assert ladder(7)[0] is m
+    for array in (m, m2, rungs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert np.array_equal(m, m_values(7)) and np.array_equal(m2, m * m)
+    assert np.array_equal(rungs, 3.5 - m[:-1])
+    fresh = m_values(7)
+    fresh[0] = 99.0
+    assert m_values(7)[0] == -3.5 and m[0] == -3.5

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spinsq import (
     fock_moments,
     fock_posterior,
     intensity_moments_exact,
+    mode_amplitudes,
     most_probable_outcome,
     oracle_xi,
     posterior_weights,
@@ -20,7 +22,8 @@ from spinsq import (
     xi_closed_form,
     xi_most_probable,
 )
-from spinsq.oracle import ORACLE_BLOCK
+from spinsq.dicke import m_values
+from spinsq.oracle import DEFAULT_OFFSETS, ORACLE_BLOCK
 
 ENS12 = EnsembleSpec(n_atoms=12, phi=0.05)
 PROBE9 = ProbeConfig(i0=9.0, x_t=math.pi / 4)
@@ -233,6 +236,14 @@ def test_oracle_xi_on_an_outcome_array_equals_the_loop(ens, probe, i_alpha, i_be
             assert type(value) is type(expected) and value.tobytes() == expected.tobytes(), field
 
 
+def test_exact_oracle_on_no_outcomes():
+    # zero outcomes, as [sample] n_samples = 0 with method = exact draws
+    t = conditional_xi_distribution(ENS12, PROBE9, n_samples=0, method="exact")
+    assert t.rows.shape == (0, 3) and t.quantiles == {}
+    r = oracle_xi(ENS12, PROBE9, MeasurementOutcome(np.empty(0), np.empty(0)))
+    assert r.xi_sq.shape == r.jx.shape == (0,)
+
+
 def test_conditional_xi_distribution_exact_frozen():
     # frozen for the vector stream: binomial(size=60), then Poisson arrays
     t = conditional_xi_distribution(
@@ -299,6 +310,58 @@ def test_compare_report_refuses_an_empty_grid_axis(key):
     # no rows would pass both gates with max_rel_err = 0
     with pytest.raises(ValueError, match=key):
         compare_report(grid={key: ()})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("i0", 0.0, "i0 must be finite and > 0, got 0.0"),
+        ("i0", -5.0, "i0 must be finite and > 0, got -5.0"),
+        ("i0", math.inf, "i0 must be finite and > 0, got inf"),
+        ("i0", math.nan, "i0 must be finite and > 0, got nan"),
+        ("product", -1.0, "product must be finite and >= 0, got -1.0"),
+        ("product", math.inf, "product must be finite and >= 0, got inf"),
+        ("product", math.nan, "product must be finite and >= 0, got nan"),
+    ],
+)
+def test_compare_report_names_an_i0_or_product_outside_its_domain(key, value, message):
+    # refused before any math, behind a valid value of the same axis: phi =
+    # sqrt(product / (2 I0 N)) would divide by zero or take a negative root
+    with pytest.raises(ValueError, match=re.escape(message)):
+        compare_report(grid={key: (1.0, value)})
+
+
+def test_compare_report_product_zero_gives_unit_xi():
+    # phi = 0: the measurement carries no information about Jz
+    grid = {"n_atoms": (30,), "i0": (10.0,), "product": (0.0,), "x_t": (math.pi / 8,)}
+    rep = compare_report(grid=grid)
+    assert rep["pass_flat_gate"] and rep["pass_adaptive_gate"]
+    for row in rep["rows"]:
+        assert row["xi_oracle"] == pytest.approx(1.0, rel=1e-12)
+        assert row["xi_closed"] == pytest.approx(1.0, rel=1e-12)
+
+
+def test_compare_report_oracle_bits_at_a_five_outcome_j0_point():
+    # N = 400, I0 = 50, product 4, X_t = pi/8 with the default five offsets:
+    # three distinct readings per mode among five outcomes, so each kernel
+    # row serves several outcomes, and some off-diagonal kernel argument
+    # I g_m g_{m+1} is negative (the J_0 branch).  Each row's oracle xi^2
+    # holds the bits of its own outcome's scalar posterior moments.
+    n, i0, prod, x_t = 400, 50.0, 4.0, math.pi / 8
+    ens = EnsembleSpec(n_atoms=n, phi=math.sqrt(prod / (2.0 * i0 * n)))
+    probe = ProbeConfig(i0=i0, x_t=x_t)
+    rep = compare_report(grid={"n_atoms": (n,), "i0": (i0,), "product": (prod,), "x_t": (x_t,)})
+    rows = rep["rows"]
+    assert len(rows) == len(DEFAULT_OFFSETS) == 5
+    assert len({r["i_alpha"] for r in rows}) == len({r["i_beta"] for r in rows}) == 3
+    a, b = mode_amplitudes(ens, probe, m_values(n))
+    assert any(
+        (r["i_alpha"] * (a[:-1] * a[1:]) < 0).any() or (r["i_beta"] * (b[:-1] * b[1:]) < 0).any()
+        for r in rows
+    )
+    for r in rows:
+        expected = one_outcome_reference(ens, probe, r["i_alpha"], r["i_beta"]).xi_sq
+        assert np.float64(r["xi_oracle"]).tobytes() == expected.tobytes()
 
 
 def test_oracle_vs_closed_form_tracks_most_probable_law():

@@ -23,6 +23,7 @@ from spinsq import (
 )
 from spinsq.squeezing import CLOSED_FORM_BLOCK, closed_form_moments, xi_closed_form_array
 from spinsq.backaction import ExpansionCoeffs, expansion_coeffs
+from spinsq.cli import _linspace
 from spinsq.oracle import sample_outcome
 
 
@@ -284,3 +285,31 @@ def test_xi_db():
         xi_db(0.0)
     with pytest.raises(ValueError):
         xi_db(math.nan)
+
+
+def test_xi_noisy_is_elementwise_over_eta():
+    # fig4's default eta grid: one array call holds the bits of the scalar
+    # calls for both models
+    etas = _linspace(0.8 / 200, 0.8, 200)
+    for model in (REIDC, ALKALI):
+        for d in (10.0, 40.0, 75.0):
+            expected = [xi_noisy(eta, d, model) for eta in etas.tolist()]
+            assert xi_noisy(etas, d, model).tolist() == expected
+            assert xi_most_probable(etas, d).tolist() == [
+                xi_most_probable(eta, d) for eta in etas.tolist()
+            ]
+    # elsewhere an array squares 1 - eta by x * x and a float by C pow, which
+    # differ in the last bit for ~0.1% of eta: at most 2 ulp of xi'^2
+    etas = np.random.default_rng(23).uniform(0.0, 0.999, 2000)
+    for model in (REIDC, ALKALI):
+        values = xi_noisy(etas, 10.0, model)
+        expected = np.array([xi_noisy(eta, 10.0, model) for eta in etas.tolist()])
+        assert np.all(np.abs(values - expected) <= 2 * np.spacing(expected))
+
+
+@pytest.mark.parametrize("eta", [[0.1, 1.0], [0.2, math.nan], [-0.1, 0.5]])
+def test_xi_noisy_refuses_any_eta_outside_the_unit_interval(eta):
+    bad = [e for e in eta if not 0.0 <= e < 1.0][0]
+    for model in (REIDC, ALKALI):
+        with pytest.raises(ValueError, match=rf"eta must be in \[0, 1\), got {bad}"):
+            xi_noisy(np.array(eta), 10.0, model)

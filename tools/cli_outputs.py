@@ -20,7 +20,10 @@ views of one table and span three render blocks, and ``fig3_i0_1e16.csv``
 and ``.json``: the default ``fig3`` at I0 = 1e16 on a 21x21 grid, whose
 ``i_alpha`` cells (~4e16) and nudged ``x_t = 2e-06`` lie outside the band
 [1e-4, 1e16) where the renderer's fast float text equals repr, on both
-sides.  ``exit_codes.txt`` lists
+sides, and ``oracle_report_pm1.csv`` and ``.json``: ``oracle-report`` with
+``offsets = 1 -1``, five outcomes per default grid point (270 rows), so that
+the exact oracle sees repeated readings of both modes in one call and
+reaches its J_0 branch; it exits 4 on the flat gate.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -58,6 +61,7 @@ EXTRA_RUNS = {
     "sample_exact": ("sample", "[sample]\nmethod = exact\nn_samples = 200\n"),
     "sample_10000": ("sample", "[sample]\nn_samples = 10000\n"),
     "fig3_i0_1e16": ("fig3", "[fig3]\ni0 = 1e16\ngrid_points = 21\n"),
+    "oracle_report_pm1": ("oracle-report", "[oracle-report]\noffsets = 1 -1\n"),
 }
 
 
