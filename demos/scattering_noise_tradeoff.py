@@ -2,8 +2,9 @@
 
 More probe photons measure Jz better (xi^2 = 1/(1 + eta d) improves with
 eta) but scatter more, which decoheres the spins.  The trade-off has an
-interior optimum: for rare-earth crystals eta_opt = (d - 2)/(3 d), while
-the alkali-vapor model is minimized numerically.
+interior optimum when d > 2: for rare-earth crystals
+eta_opt = (d - 2)/(3 d), and for the alkali-vapor model it is the one root
+in (0, 1) of the cubic 2 (1 + eta d)^2 = d (1 - eta)^3.
 
 Run:  python3 demos/scattering_noise_tradeoff.py
 """

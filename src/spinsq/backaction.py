@@ -58,7 +58,12 @@ class MeasurementOutcome:
         # no numpy reduction when it is True
         ok = (a >= 0) & (a < np.inf) & (b >= 0) & (b < np.inf)
         if ok is not True and not np.asarray(ok).all():
-            raise ValueError(f"i_alpha, i_beta must be finite and >= 0, got {a}, {b}")
+            # built only on failure: name the first offending reading
+            k = np.unravel_index(np.argmin(ok), np.shape(ok))
+            a_k, b_k = (np.broadcast_to(v, np.shape(ok))[k] for v in (a, b))
+            name, value = ("i_beta", b_k) if 0 <= a_k < np.inf else ("i_alpha", a_k)
+            at = "".join(f"[{i}]" for i in k)
+            raise ValueError(f"i_alpha, i_beta must be finite and >= 0, got {name}{at} = {value}")
 
 
 @dataclass(frozen=True)

@@ -250,12 +250,14 @@ def compare_report(grid: dict | None = None, offsets=DEFAULT_OFFSETS) -> dict:
     softer adaptive gate max(GATE, phi * sqrt(N)) that tracks the expansion's
     intrinsic O(phi sqrt(N)) accuracy.  A row whose relative error is not
     finite (an infinite oracle xi^2, say) fails both gates and makes
-    ``max_rel_err`` infinite; an empty grid axis, which would pass them on
-    no rows, raises ValueError.  At +/-1 sigma outcomes on the default grid
-    the measured error is at most about 0.58 phi sqrt(N), a 1.7x margin.
+    ``max_rel_err`` infinite; an empty grid axis or ``offsets``, which would
+    pass them on no rows, raises ValueError.  At +/-1 sigma outcomes on the
+    default grid the measured error is at most about 0.58 phi sqrt(N), a 1.7x
+    margin.
     """
     grid = {**DEFAULT_GRID, **(grid or {})}
-    if empty := [key for key in DEFAULT_GRID if not len(grid[key])]:
+    axes = {**{key: grid[key] for key in DEFAULT_GRID}, "offsets": offsets}
+    if empty := [key for key, axis in axes.items() if not len(axis)]:
         raise ValueError(f"empty grid axis: {', '.join(empty)}")
     # before any math: phi = sqrt(product / (2 I0 N)) divides by I0
     for i0 in grid["i0"]:

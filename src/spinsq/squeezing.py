@@ -17,12 +17,10 @@ most probable outcome (W = 0, lambda = 4 I0) yields the canonical
     xi^2 = 1 / (1 + 2 I0 N phi^2) = 1 / (1 + eta d).
 
 Scattering noise enters through two models: for rare-earth ensembles
-xi'^2 = xi^2 / (1-eta)^2, minimized over eta at (d-2)/(3d) when d > 2; for
-alkali vapors xi'^2 = xi^2 + eta/(1-eta) + eta/(1-eta)^2.  ``eta_optimal``
-returns that closed form where it holds and otherwise searches with the
-module's own golden-section minimizer: importing scipy.optimize instead
-would take importing the CLI, which loads no scipy module, from ~0.24 s and
-29 MiB peak memory to ~0.73 s and 78 MiB.
+xi'^2 = xi^2 / (1-eta)^2; for alkali vapors
+xi'^2 = xi^2 + eta/(1-eta) + eta/(1-eta)^2.  ``eta_optimal`` minimizes either
+over eta in closed form: the lower end for d <= 2, (d-2)/(3d) for rare-earth
+ensembles, and the one root in (0, 1) of a cubic for alkali vapors.
 """
 
 from __future__ import annotations
@@ -134,64 +132,52 @@ def xi_most_probable(eta, d: float):
 
 def xi_noisy(eta, d: float, model: NoiseModel = REIDC):
     """Squeezing degraded by photon scattering, per the chosen model,
-    elementwise over eta; ``xi_most_probable`` checks eta and d.  A Python
-    float squares 1 - eta by C pow, an array by numpy's correctly rounded
-    x * x: for ~0.1% of uniform eta the results differ by up to 2 ulp, and
-    on fig4's default grid they hold the same bits."""
+    elementwise over eta; ``xi_most_probable`` checks eta and d."""
     base = xi_most_probable(eta, d)
+    keep = 1.0 - eta
     if model.kind == "reidc":
-        return base / (1.0 - eta) ** 2
-    return base + eta / (1.0 - eta) + eta / (1.0 - eta) ** 2
-
-
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = f(c), f(d_)
-    while b - a > tol:
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = f(d_)
-    return 0.5 * (a + b)
+        return base / (keep * keep)
+    return base + eta / keep + eta / (keep * keep)
 
 
 def eta_optimal(d: float, model: NoiseModel = REIDC) -> float:
     """Scattering probability minimizing xi_noisy at fixed optical depth.
 
-    For the reidc model with d > 2 this is the closed form (d-2)/(3d);
-    otherwise a golden-section search runs on [1e-9, 1 - 1e-9], and a search
-    that ends within 1e-6 of either end has found no interior minimum and
-    returns that end.
+    For d <= 2 both models' xi'^2 rise from eta = 0: the lower end 1e-9
+    (phi needs eta > 0).  Above it, reidc gives (d-2)/(3d).  The alkali
+    slope 2/(1-eta)^3 - d/(1+eta d)^2 is 2 - d < 0 at 0, and
+    g = d(1-eta)^3 - 2(1+eta d)^2 falls strictly on [0, 1], so the one root
+    r1 in (0, 1) of d eta^3 + (2d^2 - 3d) eta^2 + 7d eta + 2 - d is the
+    minimum.  The other roots sum to -(2d - 3) - r1 < 0 and multiply to
+    (d - 2)/(d r1) > 0: both negative, or a complex pair with a negative
+    real part.  Re(1/z) has the sign of Re(z), so 1/r1 is the root with the
+    largest real part of the reversed cubic (over d): within ~2e-15 relative
+    of mpmath for d up to 8.9e307, where the forward cubic's companion
+    matrix loses up to 1.5e-11.  Past that 2d - 3 overflows, and np.roots
+    raises LinAlgError, a ValueError.
     """
     if not 0.0 < d < math.inf:
         raise ValueError(f"d must be finite and > 0, got {d}")
-    if model.kind == "reidc" and d > 2:
+    if d <= 2.0:
+        return 1e-9
+    if model.kind == "reidc":
         return (d - 2.0) / (3.0 * d)
-
-    lo, hi = 1e-9, 1.0 - 1e-9
-    eta = _golden_min(lambda e: xi_noisy(e, d, model), lo, hi)
-    if eta - lo < 1e-6:
-        return lo
-    if hi - eta < 1e-6:
-        return hi
-    return eta
+    return float(1.0 / np.roots(((2.0 - d) / d, 7.0, 2.0 * d - 3.0, 1.0)).real.max())
 
 
 def phi_from_eta_d(eta: float, d: float, n_atoms: float, i0: float) -> float:
-    """Phase shift per atom: phi = sqrt(eta d / (2 N I0))."""
+    """Phase shift per atom: phi = sqrt(eta d / (2 N I0)); a phi outside the
+    float range (2 N I0 overflowing, say) raises rather than reads 0 or inf."""
     if not all(0.0 < v < math.inf for v in (eta, d, n_atoms, i0)):
         raise ValueError(
             f"all arguments must be finite and > 0, got {eta}, {d}, {n_atoms}, {i0}"
         )
-    return math.sqrt(eta * d / (2.0 * n_atoms * i0))
+    two_n_i0 = 2.0 * n_atoms * i0
+    phi = math.sqrt(eta * d / two_n_i0) if two_n_i0 else math.inf
+    if not 0.0 < phi < math.inf:
+        raise ValueError(f"phi = {phi} is not finite and > 0 for eta = {eta}, d = {d}, "
+                         f"n_atoms = {float(n_atoms)}, i0 = {i0}")
+    return phi
 
 
 def xi_db(xi_sq: float) -> float:
@@ -199,4 +185,5 @@ def xi_db(xi_sq: float) -> float:
     # NaN fails the comparison
     if not xi_sq > 0:
         raise ValueError(f"xi_sq must be > 0, got {xi_sq}")
-    return -10.0 * math.log10(xi_sq)
+    # 0.0 - x, not -x: xi^2 = 1 gives 0.0, not -0.0
+    return 0.0 - 10.0 * math.log10(xi_sq)

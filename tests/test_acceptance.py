@@ -92,7 +92,7 @@ def test_criterion_1_planner_table():
 
 def test_criterion_2_eta_optimal_closed_vs_numeric():
     # the numeric reference is scipy's bounded minimizer, independent of
-    # eta_optimal's own search
+    # eta_optimal's closed form
     for d in (5.0, 10.0, 40.0, 100.0):
         closed = eta_optimal(d, REIDC)
         numeric = minimize_scalar(

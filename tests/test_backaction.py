@@ -36,8 +36,15 @@ def povm_log_weight(probe, out, ens, m, m_prime):
 def test_outcome_validation():
     with pytest.raises(ValueError):
         MeasurementOutcome(i_alpha=-1.0, i_beta=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got i_beta = nan$"):
         MeasurementOutcome(i_alpha=0.0, i_beta=float("nan"))
+    # arrays: the message names the first offending reading, not the arrays
+    i_alpha = np.array([1.0, 2.0, 3.0, np.nan, 5.0])
+    i_beta = np.array([1.0, 2.0, 3.0, 4.0, -1.0])
+    with pytest.raises(ValueError, match=r"got i_alpha\[3\] = nan$"):
+        MeasurementOutcome(i_alpha, i_beta)
+    with pytest.raises(ValueError, match=r"got i_beta\[2\] = inf$"):
+        MeasurementOutcome(np.ones(4), np.array([0.0, 1.0, np.inf, -1.0]))
 
 
 def test_most_probable_outcome():

@@ -609,6 +609,8 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
         # N, I0 and the detuning come out infinite or NaN
         ("plan", "[plan]\nmode_area = inf\n", "is not finite"),
         ("plan", "[plan]\nmode_area = 1e300\n", "is not finite"),
+        # 2 N I0 overflows, so phi would be 0 and every outcome NaN
+        ("fig3", "[fig3]\nn_atoms = 1e300\ngrid_points = 101\n", "phi = 0.0 is not finite"),
         # a non-finite optical depth in any fig4 curve list
         *(
             ("fig4", f"[fig4]\n{key} = 10 {value}\n", "d must be finite")
@@ -623,6 +625,7 @@ def test_non_finite_input_or_result_exits_3(tmp_path, capsys, command, text, mat
     assert code == EXIT_NUMERIC
     assert out == ""
     assert "numeric error" in err and match in err
+    assert len(err.splitlines()) == 1
 
 
 def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):

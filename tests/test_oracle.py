@@ -305,11 +305,12 @@ def test_compare_report_fails_both_gates_on_a_non_finite_row():
     assert not rep["pass_adaptive_gate"]
 
 
-@pytest.mark.parametrize("key", ["n_atoms", "i0", "product", "x_t"])
+@pytest.mark.parametrize("key", ["n_atoms", "i0", "product", "x_t", "offsets"])
 def test_compare_report_refuses_an_empty_grid_axis(key):
     # no rows would pass both gates with max_rel_err = 0
+    kwargs = {"offsets": ()} if key == "offsets" else {"grid": {key: ()}}
     with pytest.raises(ValueError, match=key):
-        compare_report(grid={key: ()})
+        compare_report(**kwargs)
 
 
 @pytest.mark.parametrize(

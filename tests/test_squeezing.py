@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -254,10 +255,49 @@ def test_eta_optimal_validation():
             with pytest.raises(ValueError, match="d must be finite"):
                 eta_optimal(d, model)
     # below d = 2 both models' xi'^2 rise from eta = 0: no interior minimum,
-    # so the search (the reidc closed form needs d > 2) is clamped to the
-    # lower end
+    # so eta_optimal returns the lower end
     assert eta_optimal(1.0, ALKALI) == 1e-9
     assert eta_optimal(1.5, REIDC) == 1e-9
+    for d in (0.5, 1.0, 2.0):
+        for model in (REIDC, ALKALI):
+            assert eta_optimal(d, model) == 1e-9
+
+
+def _alkali_root_mpmath(d):
+    """The root in (0, 1) of d e^3 + (2d^2 - 3d) e^2 + 7d e + 2 - d, where
+    the alkali xi'^2 has zero slope, by 60-digit bisection."""
+    with mpmath.workdps(60):
+        d = mpmath.mpf(d)
+        g = lambda e: d * (1 - e) ** 3 - 2 * (1 + e * d) ** 2  # falls on [0, 1]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if g(mid) > 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+@pytest.mark.parametrize(
+    "d",
+    [2 + 1e-12, 2 + 1e-6, 2.001, 2.5, 3.0, 16.0, 51.0, 75.0, 1e3, 1e5, 1e8,
+     # ~3e7 took the forward cubic's companion matrix 1.5e-11 off
+     29789818.113584615],
+)
+def test_eta_optimal_alkali_matches_mpmath(d):
+    eta = eta_optimal(d, ALKALI)
+    assert abs(mpmath.mpf(eta) / _alkali_root_mpmath(d) - 1) < 1e-11
+
+
+def test_eta_optimal_tends_to_zero_just_above_d_2():
+    # the interior minimum leaves eta = 0 continuously: eta ~ (d - 2)/14
+    # for the alkali model and (d - 2)/6 for reidc
+    prev = {REIDC: 0.0, ALKALI: 0.0}
+    for excess in (4.5e-16, 1e-12, 1e-9, 1e-6, 1e-3):
+        d = 2.0 + excess
+        for model, slope in ((ALKALI, 14.0), (REIDC, 6.0)):
+            eta = eta_optimal(d, model)
+            assert eta > prev[model]
+            assert eta == pytest.approx((d - 2.0) / slope, rel=2e-3)
+            prev[model] = eta
 
 
 def test_phi_from_eta_d():
@@ -269,6 +309,21 @@ def test_phi_from_eta_d():
     assert 2 * 1e4 * 1e3 * phi * phi == pytest.approx(2.5, rel=1e-12)
     with pytest.raises(ValueError):
         phi_from_eta_d(0.0, 10.0, 1e4, 1e3)
+    # finite, positive inputs whose phi leaves the float range: 2 N I0
+    # overflows (phi would be 0.0) or underflows, or eta d does either
+    for args, phi in [
+        ((0.32, 40.0, 1e300, 1e11), "0.0"),
+        ((0.5, 1e300, 1e-300, 1e-300), "inf"),
+        ((1e-300, 1e-300, 1e100, 1e100), "0.0"),
+        ((1e300, 1e300, 1.0, 1.0), "inf"),
+    ]:
+        eta, d, n, i0 = args
+        message = (
+            f"phi = {phi} is not finite and > 0 for eta = {eta}, d = {d}, "
+            f"n_atoms = {n}, i0 = {i0}"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            phi_from_eta_d(*args)
     good = (0.25, 10.0, 1e4, 1e3)
     for k in range(4):
         for bad in (math.nan, math.inf):
@@ -278,7 +333,8 @@ def test_phi_from_eta_d():
 
 
 def test_xi_db():
-    assert xi_db(1.0) == 0.0
+    # 0.0, not -0.0: [plan] d = 2 prints xi_prime_db = 0.0
+    assert math.copysign(1.0, xi_db(1.0)) == 1.0 and xi_db(1.0) == 0.0
     assert xi_db(0.5) == pytest.approx(3.010299956639812, rel=1e-12)
     assert xi_db(0.1) == pytest.approx(10.0, rel=1e-12)
     with pytest.raises(ValueError):
@@ -298,13 +354,12 @@ def test_xi_noisy_is_elementwise_over_eta():
             assert xi_most_probable(etas, d).tolist() == [
                 xi_most_probable(eta, d) for eta in etas.tolist()
             ]
-    # elsewhere an array squares 1 - eta by x * x and a float by C pow, which
-    # differ in the last bit for ~0.1% of eta: at most 2 ulp of xi'^2
-    etas = np.random.default_rng(23).uniform(0.0, 0.999, 2000)
+    # and so do random eta: both square 1 - eta by x * x, not by C pow
+    etas = np.random.default_rng(23).uniform(0.0, 0.999, 20_000)
     for model in (REIDC, ALKALI):
-        values = xi_noisy(etas, 10.0, model)
-        expected = np.array([xi_noisy(eta, 10.0, model) for eta in etas.tolist()])
-        assert np.all(np.abs(values - expected) <= 2 * np.spacing(expected))
+        for d in (10.0, 75.0):
+            expected = [xi_noisy(eta, d, model) for eta in etas.tolist()]
+            assert xi_noisy(etas, d, model).tolist() == expected
 
 
 @pytest.mark.parametrize("eta", [[0.1, 1.0], [0.2, math.nan], [-0.1, 0.5]])

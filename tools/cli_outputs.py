@@ -10,11 +10,11 @@ get nudged) on a 101x101 outcome grid with ``jx_mode = exact``, and
 ``oracle_report_i0_1e4.csv`` and ``.json``: ``oracle-report`` at the oracle's
 I0 cap, I0 = 1e4 with N = 30 and 2000, on the mean outcome and +1 sigma on
 either mode, which takes the exact kernel to arguments near 1e9, and
-``plan_d_1p5.csv`` and ``.json``: ``plan`` at optical depth 1.5, below the
-d > 2 of the closed-form optimal eta, so ``eta_optimal`` searches, clamps
-eta to 1e-9 and the row is flagged, and ``sample_exact.csv`` and ``.json``:
-the default ``sample`` with ``method = exact`` and 200 draws, which the
-exact oracle evaluates in several blocks, and ``sample_10000.csv`` and
+``plan_d_1p5.csv`` and ``.json``: ``plan`` at optical depth 1.5, at most 2,
+so ``eta_optimal`` returns the lower end eta = 1e-9 and the row is flagged,
+and ``sample_exact.csv`` and ``.json``: the default ``sample`` with
+``method = exact`` and 200 draws, which the exact oracle evaluates in
+several blocks, and ``sample_10000.csv`` and
 ``.json``: the default ``sample`` with 10,000 draws, whose columns are strided
 views of one table and span three render blocks, and ``fig3_i0_1e16.csv``
 and ``.json``: the default ``fig3`` at I0 = 1e16 on a 21x21 grid, whose
