@@ -144,7 +144,10 @@ def eta_optimal(d: float, model: NoiseModel = REIDC) -> float:
     """Scattering probability minimizing xi_noisy at fixed optical depth.
 
     For d <= 2 both models' xi'^2 rise from eta = 0: the lower end 1e-9
-    (phi needs eta > 0).  Above it, reidc gives (d-2)/(3d).  The alkali
+    (phi needs eta > 0).  Above it, reidc gives (d-2)/(3d), computed as
+    ((d-2)/4)/(3d/4): scaling by a power of two is exact, so the bits are
+    those of (d-2)/(3d) wherever 3d is finite, and 3d/4 never overflows, so
+    d up to the largest float gives 1/3 to 1 ulp.  The alkali
     slope 2/(1-eta)^3 - d/(1+eta d)^2 is 2 - d < 0 at 0, and
     g = d(1-eta)^3 - 2(1+eta d)^2 falls strictly on [0, 1], so the one root
     r1 in (0, 1) of d eta^3 + (2d^2 - 3d) eta^2 + 7d eta + 2 - d is the
@@ -161,7 +164,7 @@ def eta_optimal(d: float, model: NoiseModel = REIDC) -> float:
     if d <= 2.0:
         return 1e-9
     if model.kind == "reidc":
-        return (d - 2.0) / (3.0 * d)
+        return (0.25 * (d - 2.0)) / (0.75 * d)
     return float(1.0 / np.roots(((2.0 - d) / d, 7.0, 2.0 * d - 3.0, 1.0)).real.max())
 
 

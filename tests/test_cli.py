@@ -173,7 +173,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 26
+    assert len(outputs) == 28
     assert (tmp_path / "stderr.txt").is_file()
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
@@ -605,6 +605,8 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
     [
         # the error names x_t, not the sampler's Poisson mean that it spoils
         ("sample", "[sample]\nx_t = nan\n", "x_t must be finite"),
+        # a Poisson mean ~2e19, past the largest that numpy draws
+        ("sample", "[sample]\ni0 = 1e19\nphi = 1e-12\n", "lam value too large"),
         ("fig3", "[fig3]\nx_t = 0.5 inf\n", "x_t must be finite"),
         # N, I0 and the detuning come out infinite or NaN
         ("plan", "[plan]\nmode_area = inf\n", "is not finite"),

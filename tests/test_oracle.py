@@ -139,9 +139,9 @@ def test_sample_outcome_total_variance_matches_formula():
     assert abs(tot.var(ddof=1) - var_exact) < 4 * se
 
 
-def test_vector_sample_outcome_normal_branch_law():
-    # lambda ~ 2e7 > POISSON_NORMAL_SWITCH: every draw takes the Normal branch;
-    # phi makes Var(lambda) about E[lambda], so the Normal's own variance
+def test_vector_sample_outcome_poisson_law_at_large_lambda():
+    # lambda ~ 2e7, where numpy draws Poisson counts by rejection (PTRS);
+    # phi makes Var(lambda) about E[lambda], so the Poisson's own variance
     # lambda is half of each mode's variance and a wrong width shows
     n_draws = 200_000
     ens = EnsembleSpec(n_atoms=400, phi=1.4e-5)
@@ -161,13 +161,24 @@ def test_vector_sample_outcome_normal_branch_law():
 
 def test_vector_sample_outcome_zero_mean_gives_exact_zeros():
     # phi = 0, x_t = 0: lambda_beta = 4 I0 sin^2(0) = 0 on every draw, while
-    # lambda_alpha = 4 I0 sits on the Normal (I0 = 1e7) or Poisson branch
+    # lambda_alpha = 4 I0 is large (I0 = 1e7) or small (I0 = 25); Poisson(0)
+    # gives 0 at either scale
     for i0 in (1e7, 25.0):
         out = sample_outcome(
             EnsembleSpec(n_atoms=50, phi=0.0), ProbeConfig(i0=i0, x_t=0.0), seed=2, size=500
         )
         assert np.all(out.i_beta == 0.0)
         assert np.all(out.i_alpha > 0.0)
+
+
+def test_sample_outcome_counts_are_whole_at_experiment_scale():
+    # lambda ~ 2e11 per mode: the counts are Poisson draws, whole numbers at
+    # experiment scale as at desk scale
+    ens = EnsembleSpec(n_atoms=60_000_000_000, phi=3.265986323710904e-11)
+    out = sample_outcome(ens, ProbeConfig(i0=1e11, x_t=math.pi / 4), seed=0, size=1000)
+    for counts in (out.i_alpha, out.i_beta):
+        assert counts.dtype == float
+        assert np.all(counts == np.floor(counts))
 
 
 def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -217,6 +218,14 @@ def test_eta_optimal_closed_form_and_numeric_agree():
         assert numeric_eta_optimal(d, REIDC) == pytest.approx(closed, abs=1e-6)
     assert eta_optimal(10.0) == pytest.approx(4.0 / 15.0, rel=1e-12)
     assert eta_optimal(40.0) == pytest.approx(19.0 / 60.0, rel=1e-12)
+    # the bits of (d - 2)/(3d) wherever 3d is finite, and 1/3 to 1 ulp
+    # where 3d overflows
+    rng = np.random.default_rng(25)
+    for d in np.exp(rng.uniform(math.log(2.0), math.log(5.9e307), 2000)).tolist():
+        if d > 2.0:
+            assert eta_optimal(d, REIDC) == (d - 2.0) / (3.0 * d)
+    for d in (6e307, 8.98e307, sys.float_info.max):
+        assert abs(eta_optimal(d, REIDC) - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
 
 
 def test_eta_optimal_is_a_minimum():

@@ -23,7 +23,10 @@ and ``.json``: the default ``fig3`` at I0 = 1e16 on a 21x21 grid, whose
 sides, and ``oracle_report_pm1.csv`` and ``.json``: ``oracle-report`` with
 ``offsets = 1 -1``, five outcomes per default grid point (270 rows), so that
 the exact oracle sees repeated readings of both modes in one call and
-reaches its J_0 branch; it exits 4 on the flat gate.  ``exit_codes.txt`` lists
+reaches its J_0 branch; it exits 4 on the flat gate, and
+``sample_experiment.csv`` and ``.json``: ``sample`` at experiment scale,
+N = 6e10 and I0 = 1e11 with 200 draws, whose Poisson means (~2e11) take
+the sampler far above the desk-scale runs.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -62,6 +65,11 @@ EXTRA_RUNS = {
     "sample_10000": ("sample", "[sample]\nn_samples = 10000\n"),
     "fig3_i0_1e16": ("fig3", "[fig3]\ni0 = 1e16\ngrid_points = 21\n"),
     "oracle_report_pm1": ("oracle-report", "[oracle-report]\noffsets = 1 -1\n"),
+    "sample_experiment": (
+        "sample",
+        "[sample]\nn_atoms = 60000000000\ni0 = 1e11\nphi = 3.265986323710904e-11\n"
+        "n_samples = 200\n",
+    ),
 }
 
 
