@@ -24,7 +24,7 @@ and an --out file that cannot be opened); 3 numeric-domain error (including phi^
 in fig3 and second-order sample, a non-finite x_t or optical depth, an
 oracle-report i0 that is not finite and > 0 or product that is not finite
 and >= 0, named with its value, a plan whose N, I0 or detuning is not
-finite, and an allocation that fails);
+finite and > 0, and an allocation that fails);
 4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
 setting moves, including a row whose relative error is not finite); 5
 output could not be written, including stdout closed early (``spinsq fig3

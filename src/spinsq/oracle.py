@@ -154,13 +154,18 @@ def sample_outcome(
     ``size`` follows numpy: None gives one outcome with scalar fields, an
     integer n gives n outcomes at once as arrays of length n.  The counts
     are whole numbers, as floats, at every scale: numpy's Poisson draw is
-    exact for any mean up to about 9.2e18, and above that it raises
-    ValueError ("lam value too large").  Poisson(0) = 0 consumes no draw.
+    exact for any mean up to about 9.2e18; a larger one raises ValueError
+    ("lam value too large: i0 = ...").  Poisson(0) = 0 consumes no draw.
     """
     rng = np.random.default_rng(seed)  # a Generator passes through as is
     m = rng.binomial(ens.n_atoms, 0.5, size=size) - ens.n_atoms / 2.0
     a, b = mode_amplitudes(ens, probe, m)
-    i_alpha, i_beta = (np.asarray(rng.poisson(lam), dtype=float)[()] for lam in (a**2, b**2))
+    try:
+        i_alpha, i_beta = (np.asarray(rng.poisson(lam), dtype=float)[()] for lam in (a**2, b**2))
+    except ValueError as err:
+        lam = max(np.max(a**2), np.max(b**2))
+        raise ValueError(f"{err}: i0 = {float(probe.i0)} gives Poisson means up to {lam:.3g}; "
+                         "numpy draws means up to about 9.2e18") from err
     return MeasurementOutcome(i_alpha=i_alpha, i_beta=i_beta)
 
 

@@ -2,16 +2,17 @@
 
 Given a material (molar mass M, doping fraction C, absorption coefficient
 alpha, usable-ion ratio R, host density rho) and a geometry (mode area A,
-target optical depth d), the chain
+target optical depth d), the plan is
 
-    sigma = alpha M / (rho C N_A R)          transition cross-section [cm^2]
-    L     = d / alpha                        crystal length [cm]
-    N     = rho C A L N_A R / M = d A/sigma  usable atom number
-    I0    = eta sigma N^2 / (2 A)            photons per sideband (phi N ~ 1)
-    dw/G  = 2 sqrt(2 I0 sigma / (eta A))     detuning in linewidths
+    sigma = alpha M / (rho C N_A R)   transition cross-section [cm^2]
+    L     = d / alpha                 crystal length [cm]
+    N     = d A / sigma               usable atom number (rho C A L N_A R / M)
+    I0    = eta d N / 2               photons per sideband (eta sigma N^2 / (2A))
+    dw/G  = 2 d                       detuning in linewidths (2 sqrt(2 I0 sigma / (eta A)))
 
-closes with the achievable squeezing xi'^2 = 1/((1-eta)^2 (1+eta d)) at the
-chosen scattering probability eta.
+for every material.  That I0 makes the phase shift per atom,
+phi = sqrt(eta d / (2 N I0)), equal to 1/N (phi N = 1), and the plan closes
+with xi'^2 = 1/((1-eta)^2 (1+eta d)) at the chosen scattering probability eta.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ AVOGADRO = 6.02214076e23
 DEFAULT_MODE_AREA = math.pi * 0.01**2
 
 
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and > 0."""
+    for name, v in values.items():
+        if not (v > 0 and math.isfinite(v)):
+            raise ValueError(f"{name} = {v} is not finite and > 0")
+
+
 @dataclass(frozen=True)
 class MaterialSpec:
     """Material parameters for the planning chain (cgs units)."""
@@ -42,10 +50,7 @@ class MaterialSpec:
     host_density: float = 4.44  # g/cm^3, Y2SiO5
 
     def __post_init__(self):
-        for field_name in ("molar_mass", "doping", "absorption", "usable_ratio", "host_density"):
-            v = getattr(self, field_name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{field_name} must be finite and > 0, got {v}")
+        _require_positive(**{k: v for k, v in vars(self).items() if k != "name"})
         if self.doping > 1 or self.usable_ratio > 1:
             raise ValueError("doping and usable_ratio must be <= 1")
 
@@ -58,8 +63,7 @@ class GeometrySpec:
     optical_depth: float = 10.0
 
     def __post_init__(self):
-        if not self.mode_area > 0 or not self.optical_depth > 0:
-            raise ValueError("mode_area and optical_depth must be > 0")
+        _require_positive(**vars(self))
 
 
 @dataclass(frozen=True)
@@ -80,39 +84,28 @@ class PlanResult:
 
 
 def plan(mat: MaterialSpec, geom: GeometrySpec, eta: float) -> PlanResult:
-    """Run the full planning chain for one material at a given eta; raises
-    ValueError when N, I0 or the detuning comes out infinite or NaN."""
+    """Plan one material at a given eta; raises ValueError naming sigma, N,
+    I0 or the detuning when it is not finite and > 0 (overflow or underflow)."""
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
+    d = geom.optical_depth
     sigma = mat.absorption * mat.molar_mass / (
         mat.host_density * mat.doping * AVOGADRO * mat.usable_ratio
     )
-    length = geom.optical_depth / mat.absorption
-    n_atoms = (
-        mat.host_density
-        * mat.doping
-        * geom.mode_area
-        * length
-        * AVOGADRO
-        * mat.usable_ratio
-        / mat.molar_mass
-    )
-    i0 = eta * sigma * n_atoms**2 / (2.0 * geom.mode_area)
-    detuning = 2.0 * math.sqrt(2.0 * i0 * sigma / (eta * geom.mode_area))
-    results = (("n_atoms", n_atoms), ("i0", i0), ("detuning_over_gamma", detuning))
-    for field_name, v in results:
-        if not math.isfinite(v):
-            raise ValueError(f"{field_name} = {v} is not finite; check the geometry")
-    xi_p = xi_noisy(eta, geom.optical_depth, REIDC)
+    n_atoms = d * geom.mode_area / sigma
+    i0 = eta * d * n_atoms * 0.5
+    detuning = 2.0 * d
+    _require_positive(sigma=sigma, n_atoms=n_atoms, i0=i0, detuning_over_gamma=detuning)
+    xi_p = xi_noisy(eta, d, REIDC)
     return PlanResult(
         name=mat.name,
         sigma=sigma,
-        length=length,
+        length=d / mat.absorption,
         n_atoms=n_atoms,
         i0=i0,
         detuning_over_gamma=detuning,
         eta=eta,
-        optical_depth=geom.optical_depth,
+        optical_depth=d,
         xi_prime_sq=xi_p,
         xi_prime_db=xi_db(xi_p),
         flagged=xi_p > 1.0,

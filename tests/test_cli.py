@@ -173,7 +173,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 28
+    assert len(outputs) == 30
     assert (tmp_path / "stderr.txt").is_file()
     assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
@@ -539,6 +539,12 @@ BAD_MATERIALS = {
         "[eu]\nmolar_mass = 152.0\ndoping = 1e-3\nabsorption = 2.0\nusable_ration = 1e-4\n"
     ),
     "inf_molar_mass.txt": "[eu]\nmolar_mass = inf\ndoping = 1e-3\nabsorption = 2.0\n",
+    "inf_mode_area.txt": (
+        "[eu]\nmolar_mass = 152.0\ndoping = 1e-3\nabsorption = 2.0\nmode_area = inf\n"
+    ),
+    "inf_optical_depth.txt": (
+        "[eu]\nmolar_mass = 152.0\ndoping = 1e-3\nabsorption = 2.0\noptical_depth = inf\n"
+    ),
 }
 
 
@@ -551,6 +557,11 @@ BAD_MATERIALS = {
         ("plan", "bad_molar_mass.txt", None),
         ("plan", "typo_key.txt", None),
         ("plan", "inf_molar_mass.txt", None),
+        *(
+            (command, name, None)
+            for command in ("table1", "plan")
+            for name in ("inf_mode_area.txt", "inf_optical_depth.txt")
+        ),
         ("plan", None, "missing_dir/plan.csv"),
     ],
 )
@@ -605,10 +616,15 @@ def test_numeric_domain_error_exits_3(tmp_path, capsys):
     [
         # the error names x_t, not the sampler's Poisson mean that it spoils
         ("sample", "[sample]\nx_t = nan\n", "x_t must be finite"),
-        # a Poisson mean ~2e19, past the largest that numpy draws
-        ("sample", "[sample]\ni0 = 1e19\nphi = 1e-12\n", "lam value too large"),
+        # a Poisson mean ~2e19, past the largest that numpy draws: numpy's
+        # text, then the i0 and the mean it gave
+        (
+            "sample",
+            "[sample]\ni0 = 1e19\nphi = 1e-12\n",
+            "lam value too large: i0 = 1e+19 gives Poisson means up to 2e+19",
+        ),
         ("fig3", "[fig3]\nx_t = 0.5 inf\n", "x_t must be finite"),
-        # N, I0 and the detuning come out infinite or NaN
+        # a mode area that is not finite, and an N that overflows
         ("plan", "[plan]\nmode_area = inf\n", "is not finite"),
         ("plan", "[plan]\nmode_area = 1e300\n", "is not finite"),
         # 2 N I0 overflows, so phi would be 0 and every outcome NaN

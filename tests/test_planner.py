@@ -1,5 +1,8 @@
 import math
+from dataclasses import replace
 
+import mpmath
+import numpy as np
 import pytest
 
 from spinsq import (
@@ -10,6 +13,7 @@ from spinsq import (
     table1,
 )
 from spinsq.planner import AVOGADRO, DEFAULT_MODE_AREA
+from spinsq.squeezing import REIDC, eta_optimal
 
 
 def test_avogadro_literal_is_scipys_value():
@@ -77,6 +81,13 @@ def test_material_validation():
         GeometrySpec(mode_area=0.0)
 
 
+@pytest.mark.parametrize("key", ["mode_area", "optical_depth"])
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+def test_geometry_refuses_a_value_not_finite_and_positive(key, value):
+    with pytest.raises(ValueError, match=f"{key} = {value} is not finite and > 0"):
+        GeometrySpec(**{key: value})
+
+
 def test_plan_chain_internal_consistency():
     mat, geom = load_materials()["pr"]
     res = plan(mat, geom, eta=0.3)
@@ -120,6 +131,81 @@ def test_detuning_closed_form():
     # dw/G = 2 sqrt(2 I0 sigma / (eta A)) reduces to 2 N sigma / A = 2 d
     mat, geom = load_materials()["eu"]
     res = plan(mat, geom, eta=0.2)
-    assert res.detuning_over_gamma == pytest.approx(
-        2.0 * geom.optical_depth, rel=1e-12
-    )
+    assert res.detuning_over_gamma == 2.0 * geom.optical_depth
+
+
+def _old_chain(mat, geom, eta):
+    """(N, I0) of the chain sigma, L = d/alpha, N = rho C A L N_A R / M,
+    I0 = eta sigma N^2 / (2A), in 50-digit arithmetic on the float inputs."""
+    with mpmath.workdps(50):
+        m, c, alpha, r, rho, a, d, eta, n_a = map(mpmath.mpf, (
+            mat.molar_mass, mat.doping, mat.absorption, mat.usable_ratio,
+            mat.host_density, geom.mode_area, geom.optical_depth, eta, AVOGADRO,
+        ))
+        sigma = alpha * m / (rho * c * n_a * r)
+        n_atoms = rho * c * a * (d / alpha) * n_a * r / m
+        return n_atoms, eta * sigma * n_atoms**2 / (2 * a)
+
+
+def _assert_identities(mat, geom, eta):
+    res = plan(mat, geom, eta)
+    # below 2**-1022 a float holds a fixed absolute precision, one
+    # subnormal spacing, so a subnormal I0 (eta = 5e-324) gets that much
+    for value, exact in zip((res.n_atoms, res.i0), _old_chain(mat, geom, eta)):
+        assert 0.0 < value < math.inf
+        assert abs(value - exact) <= max(1e-14 * exact, math.ulp(0.0)), (value, exact)
+    assert res.detuning_over_gamma == 2.0 * geom.optical_depth
+
+
+def test_plan_identities_match_the_old_chain_in_50_digits():
+    # N = d A / sigma, I0 = eta d N / 2 and dw/G = 2 d for both presets over
+    # a d sweep (d <= 2 included, where eta_optimal returns its lower end)
+    # at the optimal eta, and over an eta sweep at each preset's own d
+    rng = np.random.default_rng(26)
+    depths = [1e-3, 0.5, 1.5, 2.0, 2.5, 10.0, 40.0, 1e3, 1e6]
+    depths += (10.0 ** rng.uniform(-3, 6, 40)).tolist()
+    etas = [1e-9, 1e-3, 0.2, 0.5, 0.9, 1 - 1e-9]
+    for mat, geom in load_materials().values():
+        for d in depths:
+            _assert_identities(mat, replace(geom, optical_depth=d), eta_optimal(d, REIDC))
+        for eta in etas:
+            _assert_identities(mat, geom, eta)
+
+
+EU_MAT, EU_GEOM = load_materials()["eu"]
+
+
+@pytest.mark.parametrize(
+    "mat, geom, eta",
+    [
+        # the longer chain's N^2 or eta sigma underflows to 0
+        pytest.param(EU_MAT, replace(EU_GEOM, mode_area=1e-200), 4 / 15, id="mode_area_1e-200"),
+        pytest.param(EU_MAT, replace(EU_GEOM, mode_area=1e-300), 4 / 15, id="mode_area_1e-300"),
+        pytest.param(EU_MAT, EU_GEOM, 1e-310, id="eta_1e-310"),
+        pytest.param(replace(EU_MAT, absorption=1e300), EU_GEOM, 4 / 15, id="absorption_1e300"),
+        # eta sigma is subnormal, so the longer chain loses digits
+        pytest.param(EU_MAT, EU_GEOM, 1e-300, id="eta_1e-300"),
+        # N^2 overflows
+        pytest.param(EU_MAT, replace(EU_GEOM, mode_area=1e280), 4 / 15, id="mode_area_1e280"),
+        # eta A underflows to 0, a divisor in the longer chain's detuning
+        pytest.param(EU_MAT, EU_GEOM, 5e-324, id="eta_5e-324"),
+    ],
+)
+def test_plan_identities_hold_at_the_domain_edges(mat, geom, eta):
+    _assert_identities(mat, geom, eta)
+
+
+@pytest.mark.parametrize(
+    "mat, geom, eta, field",
+    [
+        (replace(EU_MAT, absorption=1e308), EU_GEOM, 4 / 15, "sigma = inf"),
+        (EU_MAT, replace(EU_GEOM, optical_depth=1e-300), 1e-9, "i0 = 0.0"),
+        (replace(EU_MAT, molar_mass=1e-300), EU_GEOM, 4 / 15, "n_atoms = inf"),
+        # N = 88 and I0 = 4.4e300 are finite; 2 d is not
+        (EU_MAT, GeometrySpec(1e-320, 1e308), 1e-9, "detuning_over_gamma = inf"),
+    ],
+    ids=["absorption_1e308", "d_1e-300", "molar_mass_1e-300", "d_1e308"],
+)
+def test_plan_refuses_a_result_not_finite_and_positive(mat, geom, eta, field):
+    with pytest.raises(ValueError, match=f"{field} is not finite and > 0"):
+        plan(mat, geom, eta)

@@ -26,7 +26,10 @@ the exact oracle sees repeated readings of both modes in one call and
 reaches its J_0 branch; it exits 4 on the flat gate, and
 ``sample_experiment.csv`` and ``.json``: ``sample`` at experiment scale,
 N = 6e10 and I0 = 1e11 with 200 draws, whose Poisson means (~2e11) take
-the sampler far above the desk-scale runs.  ``exit_codes.txt`` lists
+the sampler far above the desk-scale runs, and ``plan_mode_area_1e-200.csv``
+and ``.json``: ``plan`` at a mode area of 1e-200 cm^2, where N ~ 9e-186 and
+N^2 would underflow, so I0 and the detuning must come from the identities
+I0 = eta d N / 2 and dw/G = 2 d.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -70,6 +73,7 @@ EXTRA_RUNS = {
         "[sample]\nn_atoms = 60000000000\ni0 = 1e11\nphi = 3.265986323710904e-11\n"
         "n_samples = 200\n",
     ),
+    "plan_mode_area_1e-200": ("plan", "[plan]\nmode_area = 1e-200\n"),
 }
 
 
