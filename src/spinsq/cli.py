@@ -9,18 +9,20 @@ oracle-report  oracle vs closed-form comparison sweep
 sample         Monte Carlo outcome sampling with conditional xi^2
 plan           planning chain for one material
 
-Options: --config PATH (INI file, one section per subcommand), --out PATH,
---seed U64 (default 0), --format {csv,json} (default csv).  The flags are
-the only source of these settings; no environment variable is read.
+Options: --config PATH (INI file, one section per subcommand; KEYS lists
+each subcommand's keys with their kinds and defaults, and [DEFAULT] keys
+reach every subcommand), --out PATH, --seed U64 (default 0), --format
+{csv,json} (default csv).  The flags are the only source of these
+settings; no environment variable is read.
 
-Exit codes: 0 success; 2 configuration error (including a config file that
-is not UTF-8, a value holding % (values are read as written, without
-interpolation), a key in the subcommand's own section that it does not
-read, a count key -- grid_points, eta_points, n_atoms, n_samples -- that is
-not a whole number at or above its minimum, an empty fig3 x_t or
-oracle-report grid list, a materials file that cannot be read or holds an
-invalid preset -- an unknown key, or a value that is not finite and > 0 --
-and an --out file that cannot be opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
+Exit codes: 0 success; 2 configuration error, found before the subcommand
+runs (including a config file that is not UTF-8, a value holding % (values
+are read as written, without interpolation), a key in the subcommand's own
+section that is not in KEYS, a value that does not fit the kind KEYS gives
+it), or while it runs (a plan material that no preset names, a materials
+file that cannot be read or holds an invalid preset -- an unknown key, or a
+value that is not finite and > 0 -- and an --out file that cannot be
+opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
 in fig3 and second-order sample, a non-finite x_t or optical depth, an
 oracle-report i0 that is not finite and > 0 or product that is not finite
 and >= 0, named with its value, a plan whose N, I0 or detuning is not
@@ -86,8 +88,39 @@ EXIT_GATE = 4
 EXIT_OUTPUT = 5
 
 
-#: allowed values of the enumerated config keys
-_CHOICES = {"jx_mode": ("exact", "shortcut"), "method": ("exact", "second_order")}
+#: kinds of config value; an enumerated key's kind is the tuple of its values
+FLOAT, TEXT, FLOATS, FLOATS1 = "float", "text", "float list", "non-empty float list"
+COUNT, COUNT0, COUNTS1 = "count >= 1", "count >= 0", "non-empty count list"
+
+#: subcommand -> key -> (kind, default), in the order the metadata echoes
+#: them.  plan's None defaults come from the material's preset.
+KEYS = {
+    "fig3": {
+        "i0": (FLOAT, 1e11), "d": (FLOAT, 40.0), "eta": (FLOAT, 0.32), "n_atoms": (COUNT, 6e10),
+        "x_t": (FLOATS1, (0.0, math.pi / 8, math.pi / 4, math.pi / 2)),
+        "grid_points": (COUNT, 21), "jx_mode": (("exact", "shortcut"), "shortcut"),
+    },
+    "fig4": {
+        "eta_points": (COUNT, 200), "eta_max": (FLOAT, 0.8),
+        "reidc_d": (FLOATS, (10.0, 40.0)), "alkali_d": (FLOATS, (16.0, 51.0, 75.0)),
+        "grid_d": (FLOATS, tuple(float(x) for x in range(4, 101, 4))),
+    },
+    "table1": {"materials": (TEXT, "")},
+    "oracle-report": {
+        "offsets": (FLOATS, (0.0,)), "n_atoms": (COUNTS1, DEFAULT_GRID["n_atoms"]),
+        "i0": (FLOATS1, DEFAULT_GRID["i0"]), "product": (FLOATS1, DEFAULT_GRID["product"]),
+        "x_t": (FLOATS1, DEFAULT_GRID["x_t"]),
+    },
+    "sample": {
+        "n_atoms": (COUNT, 400), "i0": (FLOAT, 100.0), "x_t": (FLOAT, math.pi / 4),
+        "phi": (FLOAT, 7.07e-3), "n_samples": (COUNT0, 1000),
+        "method": (("exact", "second_order"), "second_order"),
+    },
+    "plan": {
+        "material": (TEXT, "eu"), "materials": (TEXT, ""),
+        "d": (FLOAT, None), "mode_area": (FLOAT, None), "eta": (FLOAT, None),
+    },
+}
 
 
 class ConfigError(Exception):
@@ -114,68 +147,59 @@ def _load_config(path: str | None) -> configparser.ConfigParser:
     return parser
 
 
-class Section:
-    """One subcommand's configuration with default tracking."""
+def read_config(parser: configparser.ConfigParser, command: str) -> tuple:
+    """(values, echo) of every ``KEYS[command]`` key, read before the
+    subcommand runs.
 
-    def __init__(self, parser: configparser.ConfigParser, name: str):
-        self._sec = parser[name] if parser.has_section(name) else {}
-        self._name = name
-        self.used: dict = {}
-        # the section's own keys; [DEFAULT] keys reach every section and are exempt
-        self._own = [key for key in self._sec if key not in parser.defaults()]
+    A key takes its value from the subcommand's section, else from
+    [DEFAULT], which reaches every subcommand whether or not its section
+    exists, else its default.  A key of the section that the subcommand
+    does not know ([DEFAULT]'s are exempt), a value that does not parse or
+    fit its kind, and an empty non-empty list raise ConfigError.  Lists are
+    tuples in ``values`` and lists in ``echo``; a count is an int in
+    ``values`` and echoed as read.
+    """
+    keys, defaults = KEYS[command], parser.defaults()
+    section = dict(parser[command] if parser.has_section(command) else defaults)
+    if unknown := [key for key in section if key not in keys and key not in defaults]:
+        raise ConfigError(
+            f"config [{command}]: unknown key(s) {', '.join(unknown)} (keys: {', '.join(keys)})"
+        )
+    values, echo = {}, {}
+    for key, (kind, default) in keys.items():
+        where, raw = f"config [{command}] {key}", section.get(key)
+        value = default if raw is None else _parse(where, kind, raw)
+        echo[key] = list(value) if isinstance(value, tuple) else value
+        if isinstance(kind, tuple) and value not in kind:
+            raise _not_one_of(where, value, kind)
+        if kind in (FLOATS1, COUNTS1) and not value:
+            raise ConfigError(f"{where}: the list is empty")
+        if kind in (COUNT, COUNT0):
+            value = _count(where, value, minimum=0 if kind == COUNT0 else 1)
+        elif kind == COUNTS1:
+            value = tuple(_count(where, n, minimum=1) for n in value)
+        values[key] = value
+    return values, echo
 
-    def check_all_read(self):
-        """Raise ConfigError naming the section's own keys that were never read."""
-        unread = [key for key in self._own if key not in self.used]
-        if unread:
-            raise ConfigError(
-                f"config [{self._name}]: unknown key(s) {', '.join(unread)} "
-                f"(keys read: {', '.join(self.used)})"
-            )
 
-    def get(self, key: str, default, cast=float):
-        raw = self._sec.get(key) if self._sec else None
-        if raw is None:
-            self.used[key] = default
-            return default
-        try:
-            value = cast(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(
-                f"config [{self._name}] {key} = {raw!r}: {exc}"
-            ) from exc
-        if key in _CHOICES and value not in _CHOICES[key]:
-            raise ConfigError(
-                f"config [{self._name}] {key} = {raw!r}: not one of {_CHOICES[key]}"
-            )
-        self.used[key] = value
-        return value
+def _parse(where: str, kind, raw: str):
+    try:
+        if kind in (FLOATS, FLOATS1, COUNTS1):
+            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        return raw if kind == TEXT or isinstance(kind, tuple) else float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where} = {raw!r}: {exc}") from exc
 
-    def get_floats(self, key: str, default: tuple, nonempty: bool = False) -> tuple:
-        raw = self._sec.get(key) if self._sec else None
-        if raw is None:
-            self.used[key] = list(default)
-            return tuple(default)
-        try:
-            values = tuple(float(tok) for tok in str(raw).replace(",", " ").split())
-        except ValueError as exc:
-            raise ConfigError(f"config [{self._name}] {key} = {raw!r}: {exc}") from exc
-        if nonempty and not values:
-            raise ConfigError(f"config [{self._name}] {key}: the list is empty")
-        self.used[key] = list(values)
-        return values
 
-    def get_count(self, key: str, default, minimum: int = 1) -> int:
-        """``get`` for a count; the metadata keeps the value as read."""
-        return self.count(key, self.get(key, default), minimum)
+def _count(where: str, value, minimum: int) -> int:
+    """``value`` as an int, if it is a whole number >= minimum."""
+    if not (value >= minimum and float(value).is_integer()):
+        raise ConfigError(f"{where} = {value!r}: not a whole number >= {minimum}")
+    return int(value)
 
-    def count(self, key: str, value, minimum: int = 1) -> int:
-        """``value`` of ``key`` as an int, if it is a whole number >= minimum."""
-        if not (value >= minimum and float(value).is_integer()):
-            raise ConfigError(
-                f"config [{self._name}] {key} = {value!r}: not a whole number >= {minimum}"
-            )
-        return int(value)
+
+def _not_one_of(where: str, value, allowed) -> ConfigError:
+    return ConfigError(f"{where} = {value!r}: not one of {sorted(allowed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,19 +344,11 @@ def _nudge_singular(x_t: float) -> float:
     return nudged
 
 
-def cmd_fig3(section: Section) -> tuple:
+def cmd_fig3(values: dict, meta: dict) -> tuple:
     """Grid of conditional xi^2 over outcomes, mean +/- 1 std per axis."""
-    i0 = section.get("i0", 1e11)
-    d = section.get("d", 40.0)
-    eta = section.get("eta", 0.32)
-    n_atoms = section.get_count("n_atoms", 6e10)
-    x_t_list = section.get_floats(
-        "x_t", (0.0, math.pi / 8, math.pi / 4, math.pi / 2), nonempty=True
-    )
-    grid_points = section.get_count("grid_points", 21)
-    jx_mode = section.get("jx_mode", "shortcut", cast=str)
-
-    phi = phi_from_eta_d(eta, d, n_atoms, i0)
+    i0, n_atoms, x_t_list = values["i0"], values["n_atoms"], values["x_t"]
+    grid_points = values["grid_points"]
+    phi = phi_from_eta_d(values["eta"], values["d"], n_atoms, i0)
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
     check_phi2n(ens, refuse=True)
     per_phase = grid_points * grid_points
@@ -355,27 +371,22 @@ def cmd_fig3(section: Section) -> tuple:
         columns["x_t"][rows] = x_t
         columns["i_alpha"][rows] = out.i_alpha
         columns["i_beta"][rows] = out.i_beta
-        columns["xi_sq"][rows] = xi_closed_form_array(ens, probe, out, jx_mode=jx_mode)
-    meta = dict(section.used)
+        columns["xi_sq"][rows] = xi_closed_form_array(ens, probe, out, jx_mode=values["jx_mode"])
     meta["phi"] = phi
     return columns, meta, EXIT_OK
 
 
-def cmd_fig4(section: Section) -> tuple:
+def cmd_fig4(values: dict, meta: dict) -> tuple:
     """xi'^2 vs eta curves for both noise models, plus a 2-D (d, eta) grid."""
-    eta_points = section.get_count("eta_points", 200)
-    eta_max = section.get("eta_max", 0.8)
-    reidc_d = section.get_floats("reidc_d", (10.0, 40.0))
-    alkali_d = section.get_floats("alkali_d", (16.0, 51.0, 75.0))
-    grid_d = section.get_floats("grid_d", tuple(float(x) for x in range(4, 101, 4)))
+    eta_points, eta_max = values["eta_points"], values["eta_max"]
     etas = _linspace(eta_max / eta_points, eta_max, eta_points)
-
     curves = [
         (name, d, model)
-        for name, d_list, model in (
-            ("reidc", reidc_d, REIDC), ("alkali", alkali_d, ALKALI), ("reidc2d", grid_d, REIDC)
+        for name, key, model in (
+            ("reidc", "reidc_d", REIDC), ("alkali", "alkali_d", ALKALI),
+            ("reidc2d", "grid_d", REIDC),
         )
-        for d in d_list
+        for d in values[key]
     ]
     xi = np.empty((len(curves), eta_points))
     for row, (_, d, model) in zip(xi, curves):
@@ -386,7 +397,7 @@ def cmd_fig4(section: Section) -> tuple:
         "eta": np.tile(etas, len(curves)),
         "xi_prime_sq": xi.ravel(),
     }
-    return columns, dict(section.used), EXIT_OK
+    return columns, meta, EXIT_OK
 
 
 #: CSV column -> PlanResult field where the two names differ (table1, plan)
@@ -400,101 +411,85 @@ def _plan_columns(results, names) -> dict:
     return {c: [getattr(r, _PLAN_FIELDS.get(c, c)) for r in results] for c in names}
 
 
-def _materials(section: Section) -> dict:
-    """``load_materials`` of the section's ``materials`` file (the shipped
-    presets when it is empty); a file that cannot be read or holds invalid
-    presets is a ConfigError."""
-    path = section.get("materials", "", cast=str)
+def _materials(command: str, path: str) -> dict:
+    """``load_materials`` of the ``materials`` file ``path`` of ``command``
+    (the shipped presets when it is empty); a file that cannot be read or
+    holds invalid presets is a ConfigError."""
     try:
         return load_materials(path or None)
     except (OSError, configparser.Error, ValueError) as exc:
-        raise ConfigError(f"config [{section._name}] materials = {path!r}: {exc}") from exc
+        raise ConfigError(f"config [{command}] materials = {path!r}: {exc}") from exc
 
 
-def cmd_table1(section: Section) -> tuple:
+def cmd_table1(values: dict, meta: dict) -> tuple:
     names = (
         "material", "d", "eta_opt", "sigma_cm2", "n_atoms", "i0",
         "detuning_over_gamma", "xi_prime_sq", "xi_prime_db",
     )
-    columns = _plan_columns(table1(_materials(section)), names)
-    return columns, dict(section.used), EXIT_OK
+    columns = _plan_columns(table1(_materials("table1", values["materials"])), names)
+    return columns, meta, EXIT_OK
 
 
-def cmd_oracle_report(section: Section) -> tuple:
+def cmd_oracle_report(values: dict, meta: dict) -> tuple:
     """Oracle vs closed-form sweep; exit 4 when the flat gate fails."""
-    offsets_std = section.get_floats("offsets", (0.0,))
-    grid = {k: section.get_floats(k, v, nonempty=True) for k, v in DEFAULT_GRID.items()}
-    grid["n_atoms"] = tuple(section.count("n_atoms", n) for n in grid["n_atoms"])
-
-    offset_pairs = sorted({(0, 0)} | {
-        (o, 0) for o in offsets_std if o
-    } | {(0, o) for o in offsets_std if o})
-    report = compare_report(grid=grid, offsets=offset_pairs)
+    offsets = [o for o in values["offsets"] if o]
+    offset_pairs = sorted({(0, 0)} | {(o, 0) for o in offsets} | {(0, o) for o in offsets})
+    report = compare_report(grid={key: values[key] for key in DEFAULT_GRID}, offsets=offset_pairs)
     names = (
         "n_atoms", "i0", "product", "x_t", "offset_alpha", "offset_beta",
         "i_alpha", "i_beta", "xi_oracle", "xi_closed", "rel_err",
     )
     columns = {c: [r[c] for r in report["rows"]] for c in names}
     # the fixed gate and <Jx> mode take part in every run, so they are echoed
-    meta = {"gate": GATE, **section.used, "jx_mode": "exact"}
-    meta["max_rel_err"] = report["max_rel_err"]
-    meta["pass_flat_gate"] = report["pass_flat_gate"]
-    meta["pass_adaptive_gate"] = report["pass_adaptive_gate"]
-    code = EXIT_OK if report["pass_flat_gate"] else EXIT_GATE
-    return columns, meta, code
+    meta = {"gate": GATE, **meta, "jx_mode": "exact"}
+    meta.update((k, report[k]) for k in ("max_rel_err", "pass_flat_gate", "pass_adaptive_gate"))
+    return columns, meta, EXIT_OK if report["pass_flat_gate"] else EXIT_GATE
 
 
-def cmd_sample(section: Section, seed: int) -> tuple:
-    n_atoms = section.get_count("n_atoms", 400)
-    i0 = section.get("i0", 100.0)
-    x_t = section.get("x_t", math.pi / 4)
-    phi = section.get("phi", 7.07e-3)
-    n_samples = section.get_count("n_samples", 1000, minimum=0)
-    method = section.get("method", "second_order", cast=str)
-
-    ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
-    probe = ProbeConfig(i0=i0, x_t=x_t)
+def cmd_sample(values: dict, meta: dict, seed: int) -> tuple:
+    ens = EnsembleSpec(n_atoms=values["n_atoms"], phi=values["phi"])
+    probe = ProbeConfig(i0=values["i0"], x_t=values["x_t"])
     table = conditional_xi_distribution(
-        ens, probe, n_samples, seed=seed, method=method
+        ens, probe, values["n_samples"], seed=seed, method=values["method"]
     )
     columns = dict(zip(("i_alpha", "i_beta", "xi_sq"), table.rows.T))
-    meta = dict(section.used)
-    meta["seed"] = seed
-    meta["rng_algorithm"] = RNG_ALGORITHM
+    meta.update(seed=seed, rng_algorithm=RNG_ALGORITHM)
     for q, v in table.quantiles.items():
         meta[f"xi_sq_q{int(q * 100)}"] = v
     return columns, meta, EXIT_OK
 
 
-def cmd_plan(section: Section) -> tuple:
-    material = section.get("material", "eu", cast=str)
-    presets = _materials(section)
-    if material not in presets:
-        raise ConfigError(
-            f"unknown material {material!r}; available: {sorted(presets)}"
-        )
-    mat, geom_default = presets[material]
-    d = section.get("d", geom_default.optical_depth)
-    mode_area = section.get("mode_area", geom_default.mode_area)
-    geom = GeometrySpec(mode_area=mode_area, optical_depth=d)
-    eta = section.get("eta", eta_optimal(d, REIDC))
+def cmd_plan(values: dict, meta: dict) -> tuple:
+    """One material's plan; d and mode_area default to its preset, eta to
+    eta_optimal(d), each echoed in its place."""
+    presets = _materials("plan", values["materials"])
+    if values["material"] not in presets:
+        raise _not_one_of("config [plan] material", values["material"], presets)
+    mat, geom = presets[values["material"]]
+    if values["d"] is None:
+        values["d"] = meta["d"] = geom.optical_depth
+    if values["mode_area"] is None:
+        values["mode_area"] = meta["mode_area"] = geom.mode_area
+    geom = GeometrySpec(mode_area=values["mode_area"], optical_depth=values["d"])
+    if values["eta"] is None:
+        values["eta"] = meta["eta"] = eta_optimal(values["d"], REIDC)
     names = (
         "material", "d", "eta", "sigma_cm2", "length_cm", "n_atoms", "i0",
         "detuning_over_gamma", "xi_prime_sq", "xi_prime_db", "flagged",
     )
-    columns = _plan_columns([plan(mat, geom, eta)], names)
-    return columns, dict(section.used), EXIT_OK
+    columns = _plan_columns([plan(mat, geom, values["eta"])], names)
+    return columns, meta, EXIT_OK
 
 
-#: subcommand -> handler(section, args).  The lambdas look the handlers up
-#: when called, so a wrapper bound over ``cli.cmd_*`` (a tracer) sees the call.
+#: subcommand -> handler(values, meta, args).  The lambdas look the handlers
+#: up when called, so a wrapper bound over ``cli.cmd_*`` (a tracer) sees the call.
 _COMMANDS = {
-    "fig3": lambda section, args: cmd_fig3(section),
-    "fig4": lambda section, args: cmd_fig4(section),
-    "table1": lambda section, args: cmd_table1(section),
-    "oracle-report": lambda section, args: cmd_oracle_report(section),
-    "sample": lambda section, args: cmd_sample(section, args.seed),
-    "plan": lambda section, args: cmd_plan(section),
+    "fig3": lambda values, meta, args: cmd_fig3(values, meta),
+    "fig4": lambda values, meta, args: cmd_fig4(values, meta),
+    "table1": lambda values, meta, args: cmd_table1(values, meta),
+    "oracle-report": lambda values, meta, args: cmd_oracle_report(values, meta),
+    "sample": lambda values, meta, args: cmd_sample(values, meta, args.seed),
+    "plan": lambda values, meta, args: cmd_plan(values, meta),
 }
 
 
@@ -527,15 +522,14 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0 or args.seed >= 2**64:
             raise ConfigError("seed must fit in an unsigned 64-bit integer")
-        section = Section(_load_config(args.config), args.command)
+        values, meta = read_config(_load_config(args.config), args.command)
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                columns, meta, code = _COMMANDS[args.command](section, args)
+                columns, meta, code = _COMMANDS[args.command](values, meta, args)
         except (ValueError, ArithmeticError, MemoryError) as exc:
             print(f"numeric error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return EXIT_NUMERIC
-        section.check_all_read()
         raised = list(dict.fromkeys(str(w.message) for w in caught))
         for message in raised:
             print(f"warning: {message}", file=sys.stderr)

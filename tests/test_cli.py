@@ -173,14 +173,18 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 30
+    assert len(outputs) == 36
     assert (tmp_path / "stderr.txt").is_file()
-    assert all((tmp_path / name).stat().st_size > 0 for name in outputs)
+    # +-1 sigma outcomes fail the flat 5% gate (known red); a typo is refused
+    # with no output; every other run passes
+    expected = {"oracle_report_pm1": "4", "fig3_typo_numeric": "2"}
+    for name in outputs:
+        assert ((tmp_path / name).stat().st_size > 0) != (name.startswith("fig3_typo_numeric."))
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
-    # +-1 sigma outcomes fail the flat 5% gate (known red); every other run passes
-    gate_red = {"oracle_report_pm1.csv", "oracle_report_pm1.json"}
-    assert all(line.endswith(" 4" if line.split()[0] in gate_red else " 0") for line in codes)
+    for line in codes:
+        name, code = line.split()
+        assert code == expected.get(name.rsplit(".", 1)[0], "0"), line
 
 
 def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
@@ -392,10 +396,13 @@ def test_plan_subcommand(tmp_path, capsys):
 
 
 def test_plan_unknown_material_exits_2(tmp_path, capsys):
+    # named like any other enumerated key, with the shipped presets' names
     cfg = write_config(tmp_path, "[plan]\nmaterial = unobtainium\n")
     code, _, err = run_main(["--config", cfg, "plan"], capsys)
     assert code == EXIT_CONFIG
-    assert "unobtainium" in err
+    assert err.splitlines() == [
+        "error: config [plan] material = 'unobtainium': not one of ['eu', 'pr']"
+    ]
 
 
 def test_missing_config_exits_2(capsys):
@@ -508,9 +515,9 @@ def test_failed_output_write_exits_5_without_a_traceback(options, line):
 
 
 def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):
-    # a key of the subcommand's own section that it never reads would be
+    # a key of the subcommand's own section that is not in cli.KEYS would be
     # ignored, and missing from the metadata; [DEFAULT] keys reach every
-    # section, so they are exempt
+    # subcommand, so they are exempt
     for command, text, key in (
         ("sample", "[sample]\nn_samples = 5\nd = nan\n", "d"),
         ("fig3", "[fig3]\ngird_points = 5\n", "gird_points"),
@@ -528,6 +535,49 @@ def test_unread_config_key_exits_2_unless_in_default(tmp_path, capsys):
     code, out, _ = run_main(["--config", cfg, "sample"], capsys)
     assert code == EXIT_OK
     assert "# n_samples = 5.0" in out and "# d =" not in out
+
+
+@pytest.mark.parametrize("section", ["", "[sample]\n"], ids=["no_section", "empty_section"])
+def test_default_section_reaches_a_subcommand_without_its_section(tmp_path, capsys, section):
+    # [DEFAULT] keys reach the subcommand whether or not its section exists
+    text = "[DEFAULT]\nn_samples = 5\n" + section
+    cfg = write_config(tmp_path, text)
+    code, out, _ = run_main(["--config", cfg, "sample"], capsys)
+    assert code == EXIT_OK
+    meta, _, rows = parse_csv(out)
+    assert len(rows) == 5
+    assert meta["n_samples"] == "5.0"
+
+
+def test_unknown_key_is_refused_before_the_subcommand_runs(tmp_path, capsys, monkeypatch):
+    # i0 = -1 alone exits 3; with a typo beside it the typo is found first
+    cfg = write_config(tmp_path, "[fig3]\ni0 = -1\n")
+    assert run_main(["--config", cfg, "fig3"], capsys)[0] == EXIT_NUMERIC
+    cfg = write_config(tmp_path, "[fig3]\ni0 = -1\ntypo_key = 1\n")
+    code, out, err = run_main(["--config", cfg, "fig3"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == [
+        "error: config [fig3]: unknown key(s) typo_key "
+        "(keys: i0, d, eta, n_atoms, x_t, grid_points, jx_mode)"
+    ]
+    calls = []
+    monkeypatch.setattr(cli, "cmd_fig3", lambda *args: calls.append(args))
+    assert run_main(["--config", cfg, "fig3"], capsys)[0] == EXIT_CONFIG
+    assert calls == []
+
+
+def test_readme_config_table_lists_every_key():
+    # one row per cli.KEYS entry, in its order, with its kind
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| subcommand | key | kind | default |\n|---|---|---|---|\n")[1]
+    rows = [line.split(" | ")[:3] for line in table.split("\n\n")[0].splitlines()]
+    assert [[cell.strip("|` ") for cell in row] for row in rows] == [
+        [command, key, kind if isinstance(kind, str) else "` or `".join(kind)]
+        for command, keys in cli.KEYS.items()
+        for key, (kind, _) in keys.items()
+    ]
+    assert len(rows) == 29
 
 
 #: materials files the CLI cannot load: file name -> text
@@ -669,7 +719,7 @@ def test_sample_outside_second_order_regime_exits_3(tmp_path, capsys):
 def test_failed_allocation_exits_3(capsys, monkeypatch, exc, line):
     # raised in place of a real allocation: on a host that overcommits
     # memory an oversized np.empty can succeed and then get touched
-    def cmd_sample(section, seed):
+    def cmd_sample(values, meta, seed):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_sample", cmd_sample)
@@ -785,7 +835,7 @@ def test_sample_columns_render_as_the_reference(fmt):
     # three render blocks here
     config = configparser.ConfigParser()
     config.read_string(f"[sample]\nn_samples = {2 * cli._BLOCK_ROWS + 5}\n")
-    columns, meta, code = cli.cmd_sample(cli.Section(config, "sample"), seed=5)
+    columns, meta, code = cli.cmd_sample(*cli.read_config(config, "sample"), seed=5)
     assert code == EXIT_OK
     assert not any(col.flags.c_contiguous for col in columns.values())
     text = "".join(cli._render(columns, meta, fmt))
@@ -842,65 +892,63 @@ def test_out_file_holds_the_stdout_bytes(tmp_path, capsys, command, fmt):
     assert out_path.read_bytes() == stdout.encode()
 
 
-#: numeric keys that each subcommand reads: float keys (a list key's entries
-#: too) and count keys; every other key it reads is text
-FLOAT_KEYS = {
-    "fig3": ("i0", "d", "eta", "x_t"),
-    "fig4": ("eta_max", "reidc_d", "alkali_d", "grid_d"),
-    "oracle-report": ("offsets", "i0", "product", "x_t"),
-    "sample": ("i0", "x_t", "phi"),
-    "plan": ("d", "mode_area", "eta"),
-}
-COUNT_KEYS = {
-    "fig3": ("n_atoms", "grid_points"),
-    "fig4": ("eta_points",),
-    "oracle-report": ("n_atoms",),
-    "sample": ("n_atoms", "n_samples"),
-}
-TEXT_KEYS = {"jx_mode", "method", "materials", "material"}
 FLOAT_EDGES = ("nan", "inf", "-inf", "-1", "0", "1e300", "1e-300")
 #: 1e300 is refused before anything that size is built; no count between
 #: that and the small ones is tried, since it could allocate for real
 COUNT_EDGES = ("nan", "inf", "-inf", "-1", "0", "0.5", "1e-300", "1e300")
+#: kind of a numeric key in cli.KEYS -> the values swept; text and
+#: enumerated keys are not swept
+EDGES = {
+    **dict.fromkeys((cli.FLOAT, cli.FLOATS, cli.FLOATS1), FLOAT_EDGES),
+    **dict.fromkeys((cli.COUNT, cli.COUNT0, cli.COUNTS1), COUNT_EDGES),
+}
+#: (subcommand, key, value) -> the columns where that edge may give 0.0
+ZERO_CELLS = {
+    # the beta mode is dark at x_t = 0 (nudged to 2e-06): its -1 sigma reading is 0
+    **dict.fromkeys((("fig3", "x_t", "0"), ("fig3", "x_t", "1e-300")), {"i_beta"}),
+    # the eta grid and d column echo the input
+    ("fig4", "eta_max", "0"): {"eta"},
+    **{("fig4", key, "0"): {"d"} for key in ("reidc_d", "alkali_d", "grid_d")},
+    ("oracle-report", "product", "0"): {"product"},
+    # no probe light, no counts
+    **dict.fromkeys((("sample", "i0", "0"), ("sample", "i0", "1e-300")), {"i_alpha", "i_beta"}),
+    # xi'^2 = 1 to rounding, 0 dB
+    ("plan", "eta", "1e-300"): {"xi_prime_db"},
+}
 
 
-def test_every_numeric_key_keeps_the_exit_code_contract(tmp_path, capsys, monkeypatch):
-    # the keys swept below are all the numeric keys that the subcommands read
-    read = {}
-
-    class RecordingSection(cli.Section):
-        def check_all_read(self):
-            read[self._name] = set(self.used) - TEXT_KEYS
-            super().check_all_read()
-
-    monkeypatch.setattr(cli, "Section", RecordingSection)
-    for command, text in SMALL_CONFIGS.items():
-        run_main(["--config", write_config(tmp_path, text), command], capsys)
-    assert read == {
-        command: set(FLOAT_KEYS.get(command, ()) + COUNT_KEYS.get(command, ()))
-        for command in SMALL_CONFIGS
-    }
-    # each small config with one numeric key at an edge of its domain exits
-    # 2, 3 or 4, or exits 0 with finite cells
+def test_every_numeric_key_keeps_the_exit_code_contract(tmp_path, capsys):
+    # each small config with one numeric key of cli.KEYS at an edge of its
+    # domain exits 2, 3 or 4, or exits 0 with finite cells that are 0.0 only
+    # where ZERO_CELLS allows it; a silent underflow to 0 fails
+    cases = [
+        (command, key, value)
+        for command, keys in cli.KEYS.items()
+        for key, (kind, _) in keys.items()
+        for value in EDGES.get(kind, ())
+    ]
     failures = []
-    for command in SMALL_CONFIGS:
-        cases = [(key, v) for key in FLOAT_KEYS.get(command, ()) for v in FLOAT_EDGES]
-        cases += [(key, v) for key in COUNT_KEYS.get(command, ()) for v in COUNT_EDGES]
-        for key, value in cases:
-            config = configparser.ConfigParser()
-            config.read_string(SMALL_CONFIGS[command])
-            if not config.has_section(command):
-                config.add_section(command)
-            config[command][key] = value
-            path = tmp_path / "edge.ini"
-            with path.open("w") as fh:
-                config.write(fh)
-            code, out, _ = run_main(["--config", str(path), "--format", "json", command], capsys)
-            if code == EXIT_OK:
-                cells = [v for row in json.loads(out)["rows"] for v in row]
-                ok = all(math.isfinite(v) for v in cells if isinstance(v, float))
-            else:
-                ok = code in (EXIT_CONFIG, EXIT_NUMERIC, EXIT_GATE)
-            if not ok:
-                failures.append((command, key, value, code))
+    for command, key, value in cases:
+        config = configparser.ConfigParser()
+        config.read_string(SMALL_CONFIGS[command])
+        if not config.has_section(command):
+            config.add_section(command)
+        config[command][key] = value
+        path = tmp_path / "edge.ini"
+        with path.open("w") as fh:
+            config.write(fh)
+        code, out, _ = run_main(["--config", str(path), "--format", "json", command], capsys)
+        if code == EXIT_OK:
+            doc = json.loads(out)
+            zero_ok = ZERO_CELLS.get((command, key, value), set())
+            ok = all(
+                math.isfinite(v) and (v != 0.0 or name in zero_ok)
+                for row in doc["rows"]
+                for name, v in zip(doc["columns"], row)
+                if isinstance(v, float)
+            )
+        else:
+            ok = code in (EXIT_CONFIG, EXIT_NUMERIC, EXIT_GATE)
+        if not ok:
+            failures.append((command, key, value, code))
     assert failures == []

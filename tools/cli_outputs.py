@@ -29,7 +29,14 @@ N = 6e10 and I0 = 1e11 with 200 draws, whose Poisson means (~2e11) take
 the sampler far above the desk-scale runs, and ``plan_mode_area_1e-200.csv``
 and ``.json``: ``plan`` at a mode area of 1e-200 cm^2, where N ~ 9e-186 and
 N^2 would underflow, so I0 and the detuning must come from the identities
-I0 = eta d N / 2 and dw/G = 2 d.  ``exit_codes.txt`` lists
+I0 = eta d N / 2 and dw/G = 2 d, and ``sample_default_section.csv`` and
+``.json``: ``sample`` with ``n_samples = 5`` under [DEFAULT] in a file
+with no [sample] section, which the key still reaches, and
+``plan_pr_overrides.csv`` and ``.json``: ``plan`` for ``material = pr``
+with ``d``, ``mode_area`` and ``eta`` set in place of the preset's, and
+``fig3_typo_numeric.csv`` and ``.json``: ``fig3`` with an unknown key and
+``i0 = -1``, refused as a configuration error (exit 2) before the
+numeric one is met, with empty output.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -74,6 +81,11 @@ EXTRA_RUNS = {
         "n_samples = 200\n",
     ),
     "plan_mode_area_1e-200": ("plan", "[plan]\nmode_area = 1e-200\n"),
+    "sample_default_section": ("sample", "[DEFAULT]\nn_samples = 5\n"),
+    "plan_pr_overrides": (
+        "plan", "[plan]\nmaterial = pr\nd = 25\nmode_area = 2e-4\neta = 0.3\n"
+    ),
+    "fig3_typo_numeric": ("fig3", "[fig3]\ni0 = -1\ntypo_key = 1\n"),
 }
 
 
