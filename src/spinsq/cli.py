@@ -24,9 +24,9 @@ file that cannot be read or holds an invalid preset -- an unknown key, or a
 value that is not finite and > 0 -- and an --out file that cannot be
 opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
 in fig3 and second-order sample, a non-finite x_t or optical depth, an
-oracle-report i0 that is not finite and > 0 or product that is not finite
-and >= 0, named with its value, a plan whose N, I0 or detuning is not
-finite and > 0, and an allocation that fails);
+oracle-report i0 that is not finite and > 0, product that is not finite
+and >= 0 or offset that is not finite, named with its value, a plan whose
+N, I0 or detuning is not finite and > 0, and an allocation that fails);
 4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
 setting moves, including a row whose relative error is not finite); 5
 output could not be written, including stdout closed early (``spinsq fig3
@@ -37,13 +37,14 @@ run is echoed into the output metadata, along with the RNG algorithm for
 sampling runs and every warning raised while the subcommand ran, such as a
 nudged singular phase or the phi^2 N warning of oracle-report, in the order
 raised, each message once, also printed on stderr.  Each subcommand returns
-its columns; the renderer formats each distinct value of a column once,
-interleaves the columns' texts into one string per _BLOCK_ROWS rows and
-streams the strings to --out or stdout, which receive the same bytes.
-Floats print as their repr.  A float64 column's distinct values are
-formatted by one orjson call where its text equals repr, at magnitudes in
-[1e-4, 1e16); outside that band repr switches to exponent form, and orjson
-writes NaN and +-inf as null, so those values go through repr one by one.
+its columns; the renderer makes each cell one text carrying its separator,
+joins them into one string per _BLOCK_ROWS rows and streams the strings to
+--out or stdout, which receive the same bytes.  Floats print as their repr:
+one sort of a float64 block finds its distinct values, each formatted once
+unless more than half are distinct (then in row order), by one orjson call
+where its text equals repr, at magnitudes in [1e-4, 1e16); outside that
+band repr switches to exponent form, and orjson writes NaN and +-inf as
+null, so those values go through repr one by one.
 """
 
 from __future__ import annotations
@@ -228,58 +229,63 @@ def _json_text(value) -> str:
     return json.dumps(value, default=float)
 
 
-def _cell_texts(values, cell) -> list:
-    """``cell(v)`` for each value of a column, each distinct value formatted once.
+def _cell_texts(values, cell, suffix: str) -> list:
+    """``cell(v) + suffix`` for each value of a column.
 
-    float64 arrays are keyed by bit pattern, so 0.0 and -0.0 never share a
-    text; other values by (type, value), so 0, 0.0 and False never do.
-    Floats outside float64 arrays are formatted cell by cell.
-
-    A float64 array's distinct values are formatted by one ``orjson.dumps``
-    call, whose shortest round-trip digits (Ryu) cost ~40 ns a value against
-    ~0.8 us for ``float.__repr__``.  Its text equals repr for magnitudes in
-    [1e-4, 1e16), where both write positional notation.  Outside that band
-    repr switches to exponent form (``1e+16``, ``2e-06``) and orjson writes
-    NaN and +-inf as ``null``, so those values, and +-0.0, go through ``cell``.
+    A float64 array is keyed by bit pattern, so 0.0 and -0.0 never share a
+    text: one sort of its int64 view finds the distinct patterns, each
+    formatted once and mapped to its rows by ``searchsorted``, unless more
+    than half the values are distinct, when the array is formatted in row
+    order.  One ``orjson.dumps`` call (Ryu shortest round trip, ~40 ns a
+    value against ~0.8 us for ``float.__repr__``) writes text equal to repr
+    for magnitudes in [1e-4, 1e16).  Outside that band repr switches to
+    exponent form (``1e+16``, ``2e-06``) and orjson writes NaN and +-inf as
+    ``null``, so those values, and +-0.0, go through ``cell``.  Other values
+    are keyed by (type, value), so 0, 0.0 and False never share a text;
+    floats outside float64 arrays are formatted cell by cell.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64:
         import orjson  # imported here so that only rendering loads it
 
-        keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-        floats = keys.view(np.float64)
-        texts = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+        bits = np.sort(values.view(np.int64))
+        keys = np.concatenate((bits[:1], bits[1:][bits[1:] != bits[:-1]]))
+        in_rows = 2 * keys.size > values.size
+        # orjson takes C-contiguous arrays only, and sample's columns are strided
+        floats = np.ascontiguousarray(values) if in_rows else keys.view(np.float64)
+        text = orjson.dumps(floats, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        # each "," becomes suffix and a NUL, which no number's text holds
+        texts = text.replace(b",", (suffix + "\0").encode()).decode().split("\0")
+        texts[-1] += suffix
         magnitude = np.abs(floats)
         outside = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)))
         for i, v in zip(outside.tolist(), floats[outside].tolist()):
-            texts[i] = cell(v)
-        return np.array(texts, dtype=object)[inverse].tolist()
+            texts[i] = cell(v) + suffix
+        if in_rows:
+            return texts
+        return np.array(texts, dtype=object)[keys.searchsorted(values.view(np.int64))].tolist()
     cache: dict = {}
     out = []
     for v in values:
-        if isinstance(v, float):
-            out.append(cell(v))
-            continue
         key = (type(v), v)
-        if key not in cache:
-            cache[key] = cell(v)
+        if isinstance(v, float) or key not in cache:
+            cache[key] = cell(v) + suffix
         out.append(cache[key])
     return out
 
 
 def _text_blocks(columns: dict, cell, sep: str, end: str):
     """Yield the rows of ``columns`` as one list of text pieces per _BLOCK_ROWS
-    rows; its join is the block, cells joined by ``sep`` and rows ended by ``end``."""
+    rows: a piece per cell, all but the last ending in ``sep``, then ``end``."""
     n_rows = len(next(iter(columns.values()), ()))
     if any(len(col) != n_rows for col in columns.values()):
         raise ValueError("columns of unequal length")
-    width = 2 * len(columns)
+    width = len(columns) + 1
+    suffixes = [sep] * (width - 2) + [""]
     for start in range(0, n_rows, _BLOCK_ROWS):
         n = min(_BLOCK_ROWS, n_rows - start)
-        # a row takes width slots: cell, sep, cell, ..., cell, end
-        pieces = [sep] * (width * n)
-        for j, col in enumerate(columns.values()):
-            pieces[2 * j::width] = _cell_texts(col[start:start + n], cell)
-        pieces[width - 1::width] = [end] * n
+        pieces = [end] * (width * n)
+        for j, (col, suffix) in enumerate(zip(columns.values(), suffixes)):
+            pieces[j::width] = _cell_texts(col[start:start + n], cell, suffix)
         yield pieces
 
 

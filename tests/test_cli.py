@@ -173,7 +173,7 @@ def test_cli_outputs_tool_writes_every_output(tmp_path):
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 36
+    assert len(outputs) == 38
     assert (tmp_path / "stderr.txt").is_file()
     # +-1 sigma outcomes fail the flat 5% gate (known red); a typo is refused
     # with no output; every other run passes
@@ -328,6 +328,24 @@ def test_oracle_report_names_an_i0_or_product_outside_its_domain(tmp_path, capsy
     assert code == EXIT_NUMERIC
     assert out == ""
     assert err.splitlines() == [f"numeric error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "offsets, value",
+    [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1 nan", "nan"),
+        ("nan 2 inf -inf", "-inf, inf, nan"),
+    ],
+)
+def test_oracle_report_refuses_a_non_finite_offset(tmp_path, capsys, offsets, value):
+    # nan named i_alpha[0] or i_beta[0] by the set order of its offset pairs,
+    # and -inf clamped the readings to 0 and ran to the gate (exit 4); the
+    # message names each distinct non-finite value once, in sorted order
+    cfg = write_config(tmp_path, f"[oracle-report]\noffsets = {offsets}\n")
+    code, out, err = run_main(["--config", cfg, "oracle-report"], capsys)
+    assert code == EXIT_NUMERIC
+    assert out == ""
+    assert err.splitlines() == [f"numeric error: offsets must be finite, got {value}"]
 
 
 def test_oracle_report_product_zero_gives_unit_xi(tmp_path, capsys):
@@ -861,11 +879,61 @@ def _float_samples():
     }
 
 
+#: the cell separators of the two formats, and no separator (a row's last cell)
+SUFFIXES = ["", ",", ",\n      "]
+
+
 @pytest.mark.parametrize("cell", [cli._csv_text, cli._json_text], ids=["csv", "json"])
 @pytest.mark.parametrize("sample", ["bit_patterns", "log_uniform", "band_edges"])
 def test_cell_texts_of_float_arrays_equal_each_cell(cell, sample):
     values = _float_samples()[sample]
-    assert cli._cell_texts(values, cell) == [cell(v) for v in values.tolist()]
+    for suffix in SUFFIXES:
+        assert cli._cell_texts(values, cell, suffix) == [cell(v) + suffix for v in values.tolist()]
+
+
+def _branch_columns(n=16):
+    """float64 columns of n rows (n a multiple of 8) for each branch of
+    _cell_texts: few distinct values (a text per distinct value, gathered)
+    or more than n/2 (formatted in row order), each with in-band and
+    out-of-band values, and strided views."""
+    half = np.arange(n // 2) + 0.5
+    nan_payload = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    return {
+        "constant": np.full(n, 0.25),
+        "repeat_runs": np.repeat([0.5, 1.5, 2.5, 3.5], n // 4),
+        "tile": np.tile([0.1, 0.2, 0.3, 0.4], n // 4),
+        "half_distinct": np.tile(half, 2),
+        "half_plus_one_distinct": np.concatenate([half, [n + 0.5], np.full(n // 2 - 1, 0.5)]),
+        "zeros_and_nans": np.tile([0.0, -0.0, math.nan, nan_payload, -math.nan, 1.0, 0.0, -0.0], n // 8),
+        "out_of_band_few": np.tile([1e16, 2e-06, math.inf, -1e20], n // 4),
+        "out_of_band_distinct": np.geomspace(1e-8, 1e24, n) * np.tile([1.0, -1.0], n // 2),
+        "strided_distinct": (np.arange(2 * n) / 7.0)[::2],
+        "strided_constant": np.tile([1 / 3, 2 / 3], n)[::2],
+    }
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES, ids=["none", "csv_sep", "json_sep"])
+@pytest.mark.parametrize("cell", [cli._csv_text, cli._json_text], ids=["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, 16])
+def test_cell_texts_of_each_branch_equal_each_cell(cell, suffix, n):
+    columns = _branch_columns()
+    assert not any(columns[name].flags.c_contiguous for name in ("strided_distinct", "strided_constant"))
+    columns = {name: values[:n] for name, values in columns.items()}
+    columns["size_1_out_of_band"] = np.array([1e-05])[:n]
+    for name, values in columns.items():
+        expected = [cell(v) + suffix for v in values.tolist()]
+        assert cli._cell_texts(values, cell, suffix) == expected, name
+
+
+@pytest.mark.parametrize("block_rows", [1, 3, 8192])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_rows", [0, 1, 16])
+def test_render_of_each_cell_text_branch_matches_the_reference(monkeypatch, block_rows, fmt, n_rows):
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    columns = {name: values[:n_rows] for name, values in _branch_columns().items()}
+    for table in (columns, {"zeros_and_nans": columns["zeros_and_nans"]}):
+        text = "".join(cli._render(table, TRICKY_META, fmt))
+        assert text == reference_text(table, TRICKY_META, fmt)
 
 
 #: small configs that exercise every subcommand

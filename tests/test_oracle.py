@@ -343,6 +343,18 @@ def test_compare_report_names_an_i0_or_product_outside_its_domain(key, value, me
         compare_report(grid={key: (1.0, value)})
 
 
+@pytest.mark.parametrize(
+    "offsets, value",
+    [
+        (((0, 0), (math.nan, 0)), "nan"), (((0, 0), (0, -math.inf)), "-inf"),
+        (((math.inf, 1),), "inf"), (((math.nan, math.inf), (math.inf, math.nan)), "inf, nan"),
+    ],
+)
+def test_compare_report_refuses_a_non_finite_offset(offsets, value):
+    with pytest.raises(ValueError, match=re.escape(f"offsets must be finite, got {value}")):
+        compare_report(offsets=offsets)
+
+
 def test_compare_report_product_zero_gives_unit_xi():
     # phi = 0: the measurement carries no information about Jz
     grid = {"n_atoms": (30,), "i0": (10.0,), "product": (0.0,), "x_t": (math.pi / 8,)}

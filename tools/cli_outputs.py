@@ -36,7 +36,11 @@ with no [sample] section, which the key still reaches, and
 with ``d``, ``mode_area`` and ``eta`` set in place of the preset's, and
 ``fig3_typo_numeric.csv`` and ``.json``: ``fig3`` with an unknown key and
 ``i0 = -1``, refused as a configuration error (exit 2) before the
-numeric one is met, with empty output.  ``exit_codes.txt`` lists
+numeric one is met, with empty output, and ``sample_i0_1e16.csv`` and
+``.json``: ``sample`` at I0 = 1e16 and phi = 1e-9 (eta d = 8) with 200
+draws, whose counts (~2e16) are all distinct and all outside [1e-4, 1e16),
+so the renderer formats them in row order and each through repr, with its
+cell separator appended.  ``exit_codes.txt`` lists
 each run's exit code, and ``stderr.txt`` each line that a run wrote to
 stderr, as ``<stem>.<format>: <line>``.
 
@@ -86,6 +90,7 @@ EXTRA_RUNS = {
         "plan", "[plan]\nmaterial = pr\nd = 25\nmode_area = 2e-4\neta = 0.3\n"
     ),
     "fig3_typo_numeric": ("fig3", "[fig3]\ni0 = -1\ntypo_key = 1\n"),
+    "sample_i0_1e16": ("sample", "[sample]\ni0 = 1e16\nphi = 1e-9\nn_samples = 200\n"),
 }
 
 
