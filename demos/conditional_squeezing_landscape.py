@@ -12,14 +12,8 @@ import math
 
 import numpy as np
 
-from spinsq import (
-    EnsembleSpec,
-    MeasurementOutcome,
-    ProbeConfig,
-    intensity_moments_approx,
-    most_probable_outcome,
-    xi_closed_form,
-)
+from spinsq import EnsembleSpec, ProbeConfig, most_probable_outcome, xi_closed_form
+from spinsq.backaction import offset_outcomes
 
 
 def main():
@@ -30,8 +24,6 @@ def main():
     probe = ProbeConfig(i0=i0, x_t=math.pi / 4)
 
     mean = most_probable_outcome(probe)
-    mom = intensity_moments_approx(ens, probe)
-    sa, sb = math.sqrt(mom.var_alpha), math.sqrt(mom.var_beta)
 
     print(f"N = {n_atoms}, I0 = {i0:g}, phi = {phi:.4e}, X_t = pi/4")
     print(f"most probable outcome: ({mean.i_alpha:.1f}, {mean.i_beta:.1f})")
@@ -43,10 +35,7 @@ def main():
     for fb in fractions:
         cells = []
         for fa in fractions:
-            out = MeasurementOutcome(
-                i_alpha=max(mean.i_alpha + fa * sa, 0.0),
-                i_beta=max(mean.i_beta + fb * sb, 0.0),
-            )
+            out = offset_outcomes(ens, probe, fa, fb)
             xi = xi_closed_form(ens, probe, out, jx_mode="shortcut").xi_sq
             cells.append(f"{xi:5.3f}")
         print(f"{fb:+5.2f}   " + " ".join(cells))

@@ -15,15 +15,8 @@ Run:  python3 demos/desk_scale_oracle_check.py
 
 import math
 
-from spinsq import (
-    EnsembleSpec,
-    MeasurementOutcome,
-    ProbeConfig,
-    intensity_moments_approx,
-    most_probable_outcome,
-    oracle_xi,
-    xi_closed_form,
-)
+from spinsq import EnsembleSpec, ProbeConfig, oracle_xi, xi_closed_form
+from spinsq.backaction import offset_outcomes
 
 
 def main():
@@ -32,17 +25,13 @@ def main():
     ens = EnsembleSpec(n_atoms=n_atoms, phi=phi)
     probe = ProbeConfig(i0=i0, x_t=math.pi / 4)
 
-    mean = most_probable_outcome(probe)
-    mom = intensity_moments_approx(ens, probe)
-    sa = math.sqrt(mom.var_alpha)
-
     print(f"N = {n_atoms}, I0 = {i0:g}, 2 I0 N phi^2 = {eta_d:g}, X_t = pi/4")
     print(f"canonical law at the most probable outcome: "
           f"1/(1 + {eta_d:g}) = {1 / (1 + eta_d):.5f}\n")
 
     print(f"{'outcome':>24} {'oracle':>9} {'closed':>9} {'shortcut':>9} {'rel err':>8}")
     for label, off in [("mean", 0.0), ("mean + 0.5 std", 0.5), ("mean + 1 std", 1.0)]:
-        out = MeasurementOutcome(mean.i_alpha + off * sa, mean.i_beta)
+        out = offset_outcomes(ens, probe, off, 0.0)
         xo = oracle_xi(ens, probe, out).xi_sq
         xc = xi_closed_form(ens, probe, out, jx_mode="exact").xi_sq
         xs = xi_closed_form(ens, probe, out, jx_mode="shortcut").xi_sq

@@ -15,22 +15,12 @@ reach every subcommand), --out PATH, --seed U64 (default 0), --format
 {csv,json} (default csv).  The flags are the only source of these
 settings; no environment variable is read.
 
-Exit codes: 0 success; 2 configuration error, found before the subcommand
-runs (including a config file that is not UTF-8, a value holding % (values
-are read as written, without interpolation), a key in the subcommand's own
-section that is not in KEYS, a value that does not fit the kind KEYS gives
-it), or while it runs (a plan material that no preset names, a materials
-file that cannot be read or holds an invalid preset -- an unknown key, or a
-value that is not finite and > 0 -- and an --out file that cannot be
-opened); 3 numeric-domain error (including phi^2 N above probe.PHI2N_WARN
-in fig3 and second-order sample, a non-finite x_t or optical depth, an
-oracle-report i0 that is not finite and > 0, product that is not finite
-and >= 0 or offset that is not finite, named with its value, a plan whose
-N, I0 or detuning is not finite and > 0, and an allocation that fails);
-4 acceptance-gate failure (oracle-report's flat gate, oracle.GATE, which no
-setting moves, including a row whose relative error is not finite); 5
-output could not be written, including stdout closed early (``spinsq fig3
-| head -1``, ``spinsq table1 > /dev/full``), reported on one stderr line.
+Exit codes (the README's CLI section lists the cases of each):
+0  success
+2  configuration error, in the config file, a flag or a file it names
+3  numeric-domain error, one ``numeric error:`` line on stderr
+4  acceptance-gate failure (oracle-report's flat gate, oracle.GATE)
+5  output could not be written, including stdout closed early
 
 Output is data only (no plotting).  Every default that participated in a
 run is echoed into the output metadata, along with the RNG algorithm for

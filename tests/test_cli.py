@@ -1,5 +1,6 @@
 import configparser
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spinsq import cli, squeezing
+from spinsq import ProbeConfig, cli, most_probable_outcome, squeezing
 from spinsq.cli import EXIT_CONFIG, EXIT_GATE, EXIT_NUMERIC, EXIT_OK, EXIT_OUTPUT, main
 
 
@@ -165,26 +166,29 @@ def test_only_rendering_imports_orjson():
 
 
 def test_cli_outputs_tool_writes_every_output(tmp_path):
-    # tools/cli_outputs.py writes the files that a before/after diff compares
+    # tools/cli_outputs.py writes the files that a before/after diff compares;
+    # its COMMANDS and EXTRA_RUNS say which files and which exit codes
     tool = Path(__file__).resolve().parent.parent / "tools" / "cli_outputs.py"
+    spec = importlib.util.spec_from_file_location("cli_outputs", tool)
+    cli_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_outputs)
+    expected = {command: 0 for command in cli_outputs.COMMANDS}
+    expected.update({stem: entry[2] for stem, entry in cli_outputs.EXTRA_RUNS.items()})
     proc = subprocess.run(
         [sys.executable, str(tool), str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     logs = ("exit_codes.txt", "stderr.txt")
     outputs = sorted(p.name for p in tmp_path.iterdir() if p.name not in logs)
-    assert len(outputs) == 38
+    assert outputs == sorted(f"{stem}.{fmt}" for stem in expected for fmt in ("csv", "json"))
     assert (tmp_path / "stderr.txt").is_file()
-    # +-1 sigma outcomes fail the flat 5% gate (known red); a typo is refused
-    # with no output; every other run passes
-    expected = {"oracle_report_pm1": "4", "fig3_typo_numeric": "2"}
-    for name in outputs:
-        assert ((tmp_path / name).stat().st_size > 0) != (name.startswith("fig3_typo_numeric."))
     codes = (tmp_path / "exit_codes.txt").read_text().splitlines()
     assert sorted(line.split()[0] for line in codes) == outputs
     for line in codes:
         name, code = line.split()
-        assert code == expected.get(name.rsplit(".", 1)[0], "0"), line
+        assert int(code) == expected[name.rsplit(".", 1)[0]], line
+        # a configuration error is refused before any output is written
+        assert ((tmp_path / name).stat().st_size == 0) == (code == "2"), line
 
 
 def test_fig3_center_matches_most_probable_law(tmp_path, capsys):
@@ -229,6 +233,21 @@ def test_fig3_outside_second_order_regime_exits_3(tmp_path, capsys):
     assert "numeric error" in err and "phi^2 * N" in err
 
 
+def test_fig3_one_grid_point_is_the_most_probable_outcome(tmp_path, capsys):
+    # one row per phase at the mean outcome, where W = 0 and lambda = 4 I0 at
+    # any phase, so xi^2 = 1/(1 + eta d), nudged phases included
+    cfg = write_config(tmp_path, "[fig3]\ngrid_points = 1\n")
+    code, out, _ = run_main(["--config", cfg, "fig3"], capsys)
+    assert code == EXIT_OK
+    _, _, rows = parse_csv(out)
+    phases = ["2e-06", repr(math.pi / 8), repr(math.pi / 4), "1.5707983267948966"]
+    assert [r[0] for r in rows] == phases
+    for x_t, i_alpha, i_beta, xi_sq in (map(float, r) for r in rows):
+        mean = most_probable_outcome(ProbeConfig(i0=1e11, x_t=x_t))
+        assert (i_alpha, i_beta) == (mean.i_alpha, mean.i_beta)
+        assert xi_sq == pytest.approx(1.0 / (1.0 + 0.32 * 40.0), rel=0, abs=1e-12)
+
+
 def test_fig4_curves(tmp_path, capsys):
     cfg = write_config(tmp_path, "[fig4]\neta_points = 10\ngrid_d = 10 20\n")
     code, out, _ = run_main(["--config", cfg, "--format", "json", "fig4"], capsys)
@@ -241,6 +260,17 @@ def test_fig4_curves(tmp_path, capsys):
     row = next(r for r in doc["rows"] if r[0] == "reidc" and r[1] == 40.0)
     eta = row[2]
     assert row[3] == pytest.approx(1 / ((1 - eta) ** 2 * (1 + eta * 40)), rel=1e-12)
+
+
+def test_fig4_one_eta_point_is_eta_max(tmp_path, capsys):
+    # one row per curve, at eta = eta_max exactly
+    keys = "eta_points = 1\neta_max = 0.3\nreidc_d = 10\nalkali_d = 16\ngrid_d = 4\n"
+    cfg = write_config(tmp_path, "[fig4]\n" + keys)
+    code, out, _ = run_main(["--config", cfg, "fig4"], capsys)
+    assert code == EXIT_OK
+    _, _, rows = parse_csv(out)
+    assert [r[:3] for r in rows] == [["reidc", "10.0", "0.3"], ["alkali", "16.0", "0.3"],
+                                     ["reidc2d", "4.0", "0.3"]]
 
 
 def test_fig4_evaluates_each_curve_in_one_call(tmp_path, capsys, monkeypatch):
@@ -400,6 +430,22 @@ def test_sample_deterministic_under_seed(tmp_path, capsys):
     assert meta["rng_algorithm"] == "numpy.random.PCG64"
     assert meta["seed"] == "7"
     assert "xi_sq_q50" in meta
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_u64_exits_2(capsys, seed):
+    code, out, err = run_main([f"--seed={seed}", "table1"], capsys)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.splitlines() == ["error: seed must fit in an unsigned 64-bit integer"]
+
+
+def test_largest_u64_seed_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[sample]\nn_samples = 5\n")
+    code, out, err = run_main(["--config", cfg, "--seed=18446744073709551615", "sample"], capsys)
+    assert code == EXIT_OK
+    assert err == ""
+    assert parse_csv(out)[0]["seed"] == "18446744073709551615"
 
 
 def test_plan_subcommand(tmp_path, capsys):
