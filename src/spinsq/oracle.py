@@ -12,8 +12,9 @@ sampler draws outcomes from the exact mixture law
 
     m ~ binomial Dicke weights, then I_gamma ~ Poisson(|gamma_m|^2).
 
-The sampler draws n outcomes as vectors (one binomial draw of size n, then
-one array of counts per mode), so ``conditional_xi_distribution`` rows
+The sampler draws n outcomes as vectors (one binomial draw of size n, the
+envelopes once per drawn rung when the rungs are fewer than n, then one
+array of counts per mode), so ``conditional_xi_distribution`` rows
 differ from those of n successive scalar ``sample_outcome`` calls.  The
 counts follow that one law at every scale, desk or experiment: numpy's
 Poisson draw is exact up to a mean of about 9.2e18 (I0 ~ 2.3e18 at
@@ -37,7 +38,7 @@ from .backaction import (
     posterior_weights,
 )
 from .dicke import EnsembleSpec, SqueezingResult, css_log_weights, ladder
-from .probe import ProbeConfig, _envelopes, check_phi2n, mode_amplitudes
+from .probe import ProbeConfig, _envelopes, check_phi2n
 from .squeezing import xi_closed_form, xi_closed_form_array
 
 #: RNG algorithm recorded in output metadata
@@ -156,10 +157,18 @@ def sample_outcome(
     are whole numbers, as floats, at every scale: numpy's Poisson draw is
     exact for any mean up to about 9.2e18; a larger one raises ValueError
     ("lam value too large: i0 = ...").  Poisson(0) = 0 consumes no draw.
+    Envelopes skip ``mode_amplitudes``' |m| check (a binomial draw is in
+    range); when the drawn rungs k have max(k) - min(k) < k.size, each rung
+    gets them once, gathered by k - min(k): the same float ops, same counts.
     """
     rng = np.random.default_rng(seed)  # a Generator passes through as is
-    m = rng.binomial(ens.n_atoms, 0.5, size=size) - ens.n_atoms / 2.0
-    a, b = mode_amplitudes(ens, probe, m)
+    k = np.asarray(rng.binomial(ens.n_atoms, 0.5, size=size))
+    lo, hi = (k.min(), k.max()) if k.size else (0, -1)
+    if hi - lo < k.size:  # fewer rungs than draws: each rung's envelopes once
+        rungs = np.arange(lo, hi + 1) - ens.n_atoms / 2.0
+        a, b = (env[k - lo] for env in _envelopes(ens, probe, rungs))
+    else:
+        a, b = _envelopes(ens, probe, k - ens.n_atoms / 2.0)
     try:
         i_alpha, i_beta = (np.asarray(rng.poisson(lam), dtype=float)[()] for lam in (a**2, b**2))
     except ValueError as err:
@@ -208,6 +217,7 @@ def conditional_xi_distribution(
         rows[:, 2] = oracle_xi(ens, probe, out).xi_sq
     quantiles = {}
     finite = rows[:, 2][np.isfinite(rows[:, 2])]
+    finite.sort()  # a copy: np.quantile is faster on sorted values, same bits
     if finite.size:
         quantiles = dict(zip((0.25, 0.5, 0.75), np.quantile(finite, (0.25, 0.5, 0.75)).tolist()))
     return SampleTable(rows=rows, quantiles=quantiles)

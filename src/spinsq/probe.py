@@ -80,8 +80,8 @@ def mode_amplitudes(ens: EnsembleSpec, probe: ProbeConfig, m):
 
 
 def _envelopes(ens: EnsembleSpec, probe: ProbeConfig, m: np.ndarray):
-    """``mode_amplitudes`` without its |m| <= N/2 check, for a float ladder
-    that is in range by construction (``dicke.ladder``)."""
+    """``mode_amplitudes`` without its |m| <= N/2 check, for m that is in
+    range by construction (``dicke.ladder``, a binomial draw)."""
     shift = m * ens.phi
     amp = 2.0 * math.sqrt(probe.i0)
     return amp * np.cos(probe.x_t - shift), amp * np.sin(probe.x_t + shift)

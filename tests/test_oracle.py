@@ -177,6 +177,41 @@ def test_sample_outcome_counts_are_whole_at_experiment_scale():
         assert np.all(counts == np.floor(counts))
 
 
+def reference_stream(ens, probe, seed, size):
+    """The sampler's draws, spelled out: one binomial draw, then
+    mode_amplitudes on every drawn m, then one Poisson draw per mode."""
+    rng = np.random.default_rng(seed)
+    k = rng.binomial(ens.n_atoms, 0.5, size=size)
+    a, b = mode_amplitudes(ens, probe, k - ens.n_atoms / 2.0)
+    counts = (np.asarray(rng.poisson(lam), dtype=float) for lam in (a**2, b**2))
+    return np.asarray(k), tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "n_atoms, phi, i0, size, gathers",
+    [
+        (400, 7.07e-3, 100.0, 20000, True),  # ~90 rungs for 20,000 draws
+        (60_000_000_000, 3.266e-11, 1e11, 1000, False),  # a range of ~1e6
+        (401, 7.07e-3, 100.0, 2000, True),  # half-integer m
+        (400, 7.07e-3, 100.0, None, True),  # one draw, scalar fields
+        (400, 7.07e-3, 100.0, 0, None),  # no draw
+        (400, 7.07e-3, 100.0, 3, False),  # the range usually exceeds 3
+    ],
+)
+def test_sample_outcome_keeps_the_reference_stream(n_atoms, phi, i0, size, gathers):
+    # whether each rung's envelopes are evaluated once and gathered, or each
+    # draw's on its own, every count keeps the bits of the reference stream
+    ens, probe = EnsembleSpec(n_atoms=n_atoms, phi=phi), ProbeConfig(i0=i0, x_t=0.7)
+    k, expected = reference_stream(ens, probe, 5, size)
+    if k.size:  # the branch that the draw takes
+        assert (np.ptp(k) < k.size) == gathers
+    out = sample_outcome(ens, probe, seed=5, size=size)
+    for got, want in zip((out.i_alpha, out.i_beta), expected):
+        assert type(got) is (np.float64 if size is None else np.ndarray)
+        assert np.shape(got) == want.shape and got.dtype == want.dtype
+        assert np.asarray(got).tobytes() == want.tobytes()
+
+
 def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():
     ens = EnsembleSpec(n_atoms=400, phi=7.07e-3)
     probe = ProbeConfig(i0=100.0, x_t=0.7)
@@ -188,16 +223,29 @@ def test_conditional_xi_distribution_rows_are_closed_form_of_their_outcomes():
     np.testing.assert_array_equal(t.rows[:, 2], expected)
 
 
-def test_conditional_xi_quantiles_equal_separate_quantile_calls():
-    # one np.quantile call over the three levels gives the bits of three
-    # calls; at N = 2 and I0 = 1 the 200 counts repeat, so the rows hold ties
-    t = conditional_xi_distribution(
-        EnsembleSpec(n_atoms=2, phi=0.5), ProbeConfig(i0=1.0, x_t=math.pi / 8),
-        n_samples=200, seed=1, method="exact",
-    )
+@pytest.mark.parametrize(
+    "ens, probe, n_inf",
+    [
+        (EnsembleSpec(n_atoms=2, phi=0.5), ProbeConfig(i0=1.0, x_t=math.pi / 8), 0),
+        # two jx_zero outcomes give xi^2 = +inf, left out of the quartiles
+        (EnsembleSpec(n_atoms=2, phi=0.7), ProbeConfig(i0=2.0, x_t=0.3), 2),
+    ],
+    ids=["all_finite", "two_inf_rows"],
+)
+def test_conditional_xi_quantiles_equal_separate_quantile_calls(ens, probe, n_inf):
+    # one np.quantile call over the three levels, on a sorted copy of the
+    # finite rows, gives the bits of three calls on them in draw order; at
+    # N = 2 the 200 counts repeat, so the rows hold ties
+    t = conditional_xi_distribution(ens, probe, n_samples=200, seed=1, method="exact")
     xi = t.rows[:, 2]
-    assert np.isfinite(xi).all() and np.unique(xi).size < xi.size / 2
-    assert t.quantiles == {q: float(np.quantile(xi, q)) for q in (0.25, 0.5, 0.75)}
+    assert np.isinf(xi).sum() == n_inf and not np.isnan(xi).any()
+    assert np.unique(xi).size < xi.size / 2
+    # the rows stay in draw order
+    out = sample_outcome(ens, probe, seed=1, size=200)
+    np.testing.assert_array_equal(t.rows, np.column_stack(
+        (out.i_alpha, out.i_beta, oracle_xi(ens, probe, out).xi_sq)))
+    finite = xi[np.isfinite(xi)]
+    assert t.quantiles == {q: float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75)}
 
 
 def one_outcome_reference(ens, probe, i_alpha, i_beta):

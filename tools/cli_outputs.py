@@ -67,6 +67,10 @@ EXTRA_RUNS = {
                        "all-distinct counts (~2e16) outside [1e-4, 1e16): row-order repr"),
     "fig3_grid_points_1": ("fig3", "[fig3]\ngrid_points = 1\n", 0,
                            "one row per phase at the mean outcome: xi^2 = 1/(1 + eta d)"),
+    "sample_n_samples_0": ("sample", "[sample]\nn_samples = 0\n", 0,
+                           "no draw: a header only, and no xi_sq_q* quartile keys"),
+    "sample_n_atoms_401": ("sample", "[sample]\nn_atoms = 401\n", 0,
+                           "odd N: half-integer m through the per-rung envelope gather"),
 }
 
 
